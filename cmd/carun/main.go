@@ -63,7 +63,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	var (
 		modelName = fs.String("model", "resnet200", "workload: densenet264, resnet200, vgg416, vgg116, ...")
 		batch     = fs.Int("batch", 2048, "training batch size")
-		mode      = fs.String("mode", "CA:LM", "operating mode: 2LM:0, 2LM:M, CA:0, CA:L, CA:LM, CA:LMP, OS:page, AutoTM")
+		mode      = fs.String("mode", "CA:LM", "operating mode: "+strings.Join(engine.Modes, ", "))
 		iters     = fs.Int("iters", 4, "training iterations (first is warm-up)")
 		dram      = fs.String("dram", "", "DRAM budget, e.g. 180GB; \"0\" for NVRAM-only (default: paper 180 GB)")
 		nvram     = fs.String("nvram", "", "NVRAM budget (default: paper 1300 GB)")
@@ -84,6 +84,20 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "carun:", err)
 		return 1
+	}
+
+	canon, err := sched.Normalize(*mode)
+	if err != nil {
+		return fail(err)
+	}
+	// Only the CA engines carry fault and audit hooks; a baseline run would
+	// exit 0 having injected and audited nothing.
+	isCA := strings.HasPrefix(canon, "CA:")
+	if !isCA && shared.Faults != "" {
+		return fail(fmt.Errorf("-faults: mode %s injects no faults (fault injection covers the CA engines)", canon))
+	}
+	if !isCA && shared.Check {
+		return fail(fmt.Errorf("-check: mode %s audits nothing (the invariant checker covers the CA engines)", canon))
 	}
 
 	stopProf, err := profiling.Start(*cpuprof, *memprof)
@@ -194,7 +208,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "DRAM cache  : hit %.1f%%, clean miss %.1f%%, dirty miss %.1f%%\n",
 			100*r.Cache.HitRate(), 100*r.Cache.CleanMissRate(), 100*r.Cache.DirtyMissRate())
 	}
-	if strings.HasPrefix(strings.ToUpper(*mode), "CA") {
+	if isCA {
 		p := r.Policy
 		fmt.Fprintf(stdout, "policy      : %d prefetches (%s), %d evictions (%s), %d elided writebacks\n",
 			p.Prefetches, units.Bytes(p.PrefetchBytes), p.Evictions,

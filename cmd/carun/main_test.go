@@ -91,6 +91,9 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad mode", []string{"-mode", "NUMA"}, 1, "unknown mode"},
 		{"bad dram", []string{"-dram", "lots"}, 1, ""},
 		{"negative metrics interval", []string{"-metrics", "x.csv", "-metrics-interval", "-1"}, 1, "metrics-interval"},
+		{"faults on 2LM", []string{"-mode", "2LM:M", "-faults", "seed=1;allocfail:fast:t0=0,t1=100,p=1", "-check"}, 1, "mode 2LM:M injects no faults"},
+		{"faults on OS:page", []string{"-mode", "os", "-faults", "seed=1;allocfail:fast:t0=0,p=1"}, 1, "mode OS:page injects no faults"},
+		{"check on AutoTM", []string{"-mode", "plan", "-check"}, 1, "mode AutoTM audits nothing"},
 		{"trace on traceless mode", []string{"-mode", "2LM:0", "-trace", filepath.Join(t.TempDir(), "t.json")}, 1, "no trace"},
 	}
 	for _, tc := range tests {
@@ -109,6 +112,18 @@ func TestCLIExitCodes(t *testing.T) {
 				t.Errorf("stderr %q missing %q", stderr.String(), tc.err)
 			}
 		})
+	}
+}
+
+// TestCLIHelpListsEveryMode pins the usage text to the engine's canonical
+// mode list.
+func TestCLIHelpListsEveryMode(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := cliMain([]string{"-h"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-h exit %d, want 2", code)
+	}
+	if want := strings.Join(engine.Modes, ", "); !strings.Contains(stderr.String(), want) {
+		t.Errorf("usage does not list %q:\n%s", want, stderr.String())
 	}
 }
 

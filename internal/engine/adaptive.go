@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"cachedarrays/internal/gcsim"
-	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/policy"
 )
@@ -35,43 +33,27 @@ var AdaptiveModes = []string{AdaptiveOG, AdaptiveTG, AdaptiveOGTG}
 // run with a private registry is exactly as deterministic — and as
 // cacheable — as a static one.
 func RunCAAdaptive(model *models.Model, variant string, cfg Config) (*Result, error) {
-	st, err := newAdaptiveStepper(model, variant, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
+	return drive(newAdaptiveRun(model, variant, cfg, nil))
 }
 
-// newAdaptiveStepper builds the event-driven form of RunCAAdaptive.
-func newAdaptiveStepper(model *models.Model, variant string, cfg Config, env *Env) (*caStepper, error) {
-	cfg = cfg.withDefaults()
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.New(0)
-	}
-	p, release := env.acquire(cfg)
-	m, err := newManager(p, cfg, env)
-	if err != nil {
-		return nil, err
-	}
-	gc := gcsim.New(m, p.Clock)
-	pcfg := policy.ConfigFor(policy.CALMP)
-	pcfg.PreferCleanVictims = cfg.PreferCleanVictims
-	base := policy.NewTieredConfig(m, pcfg, variant, gc)
-	slowUtil := "mem_" + p.Slow.Name + "_bw_util"
-	now := p.Clock.Now
-
-	var pol policy.Runtime
-	switch variant {
-	case AdaptiveOG:
-		pol = policy.NewOnlineGuidance(base, policy.GuidanceConfig{}, now, reg, slowUtil)
-	case AdaptiveTG:
-		pol = policy.NewThrashGuard(base, base, policy.ThrashConfig{}, now)
-	case AdaptiveOGTG:
-		og := policy.NewOnlineGuidance(base, policy.GuidanceConfig{}, now, reg, slowUtil)
-		pol = policy.NewThrashGuard(og, base, policy.ThrashConfig{}, now)
-	default:
+// newAdaptiveRun builds the event-driven form of RunCAAdaptive: a CA run
+// whose static policy is wrapped in the variant's adaptive layers.
+func newAdaptiveRun(model *models.Model, variant string, cfg Config, env *Env) (*run, error) {
+	og := variant == AdaptiveOG || variant == AdaptiveOGTG
+	tg := variant == AdaptiveTG || variant == AdaptiveOGTG
+	if !og && !tg {
 		return nil, fmt.Errorf("engine: unknown adaptive variant %q", variant)
 	}
-	return newCAStepper(model, pol, gc, p, m, cfg, reg, release, env)
+	return newCARun(model, variant, policy.CALMP, cfg, env, func(base *policy.Tiered, c *core) policy.Runtime {
+		now := c.p.Clock.Now
+		var pol policy.Runtime = base
+		if og {
+			pol = policy.NewOnlineGuidance(base, policy.GuidanceConfig{}, now,
+				c.reg, "mem_"+c.p.Slow.Name+"_bw_util")
+		}
+		if tg {
+			pol = policy.NewThrashGuard(pol, base, policy.ThrashConfig{}, now)
+		}
+		return pol
+	})
 }

@@ -12,7 +12,6 @@ import (
 	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/policy"
-	"cachedarrays/internal/trace"
 	"cachedarrays/internal/tracing"
 )
 
@@ -36,26 +35,7 @@ func resolveCapacity(c, def int64) int64 {
 // RunCA executes a training run under the CachedArrays runtime in the
 // given operating mode.
 func RunCA(model *models.Model, mode policy.Mode, cfg Config) (*Result, error) {
-	st, err := newCAModeStepper(model, mode, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
-}
-
-// newCAModeStepper builds the event-driven form of RunCA.
-func newCAModeStepper(model *models.Model, mode policy.Mode, cfg Config, env *Env) (*caStepper, error) {
-	cfg = cfg.withDefaults()
-	p, release := env.acquire(cfg)
-	m, err := newManager(p, cfg, env)
-	if err != nil {
-		return nil, err
-	}
-	gc := gcsim.New(m, p.Clock)
-	pcfg := policy.ConfigFor(mode)
-	pcfg.PreferCleanVictims = cfg.PreferCleanVictims
-	pol := policy.NewTieredConfig(m, pcfg, mode.String(), gc)
-	return newCAStepper(model, pol, gc, p, m, cfg, cfg.Metrics, release, env)
+	return drive(newCARun(model, mode.String(), mode, cfg, nil, nil))
 }
 
 // newManager builds the data manager with the configured heap allocator,
@@ -95,306 +75,202 @@ func newManager(p *memsim.Platform, cfg Config, env *Env) (*dm.Manager, error) {
 	return dm.NewWithAllocators(p, env.limitFast(fast), env.limitSlow(slow)), nil
 }
 
-// RunCAConfig is RunCA with explicit policy switches (ablations).
-func RunCAConfig(model *models.Model, pcfg policy.Config, name string, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	p, release := acquirePlatform(cfg)
-	m, err := newManager(p, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	gc := gcsim.New(m, p.Clock)
-	pol := policy.NewTieredConfig(m, pcfg, name, gc)
-	st, err := newCAStepper(model, pol, gc, p, m, cfg, cfg.Metrics, release, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
-}
-
-// caStepper is the event-driven CachedArrays run: construction performs
-// setup (instrumentation wiring, persistent-tensor allocation), every
-// Step executes one kernel event or one iteration boundary, and Finish
-// produces the Result. Driven to completion it is byte-identical to the
-// historical straight-line loop; dispatched by the cluster simulator its
-// events interleave with other tenants' on the shared platform.
-//
-// pol is any policy runtime — the plain Tiered for the paper modes, a
-// wrapped adaptive stack for the CA:OG/CA:TG variants. reg is the
-// registry the run's series register into; it is usually cfg.Metrics,
-// but adaptive runs pass a private registry when the caller did not ask
-// for one (the guidance policy steers by live series, and sampling never
-// perturbs the simulation, so those runs stay cacheable). release
-// returns the platform to the pool and runs only on the success path
-// (error paths abandon the platform in whatever state the failure left
-// it).
-type caStepper struct {
-	model   *models.Model
-	pol     policy.Runtime
-	gc      *gcsim.Collector
-	p       *memsim.Platform
-	m       *dm.Manager
-	cfg     Config
-	reg     *metrics.Registry
-	release func()
-
-	sched  *trace.Schedule
-	res    *Result
+// caBackend is the CachedArrays memory system: the data manager, a policy
+// runtime (the plain Tiered for the paper modes, a wrapped adaptive stack
+// for the CA:OG/CA:TG variants) and the deferred-death collector. It is
+// the only backend the tracer, fault injector and invariant checker
+// thread through.
+type caBackend struct {
+	*core
+	pol    policy.Runtime
+	gc     *gcsim.Collector
+	m      *dm.Manager
 	events *dm.EventLog
-	tr     *tracing.Recorder
 	inj    *faults.Injector
 	chk    *invariants.Checker
-	rm     runMetrics
 	objs   []*dm.Object
 	// sharedTrace marks that tr is the cluster's multiplexed recorder: the
-	// stepper emits into it but does not own it — Finish leaves the events
+	// run emits into it but does not own it — finish leaves the events
 	// out of the Result (the owner assembles the full trace) and sources
 	// the trace totals' device traffic from the owner's per-tenant
 	// attribution instead of the whole-platform counters.
 	sharedTrace bool
 	traffic     func() (fr, fw, sr, sw int64)
 
-	// Iteration-loop state.
-	iter               int
-	ki                 int
-	inIter             bool
-	it                 IterationMetrics
-	iterStart          float64
-	fastBase, slowBase memsim.Counters
-	gcBase             float64
-	sampling           bool
+	// gcSeen is the collector's cumulative pause at the previous collect.
+	gcSeen float64
 	// readyAt tracks, per tensor, when its in-flight asynchronous move
-	// completes; kernels wait on their arguments' entries.
+	// completes; kernels wait on their arguments' entries. Nil under
+	// synchronous movement.
 	readyAt map[int]float64
-
-	done     bool
-	finished bool
 }
 
-// newCAStepper performs the run's setup: instrumentation threading and
-// the persistent-tensor allocations (the paper pre-allocates and
-// first-touches all heaps before measuring, so setup traffic is excluded
-// from iteration metrics).
-func newCAStepper(model *models.Model, pol policy.Runtime, gc *gcsim.Collector,
-	p *memsim.Platform, m *dm.Manager, cfg Config, reg *metrics.Registry,
-	release func(), env *Env) (*caStepper, error) {
+// newCARun builds a CachedArrays run under the switch set of mode. wrap,
+// when non-nil, stacks adaptive layers on the static policy; such a stack
+// steers by live series, so it gets a private registry when the caller
+// did not ask for metrics (sampling never perturbs the simulation, so
+// those runs stay cacheable).
+func newCARun(model *models.Model, name string, mode policy.Mode, cfg Config, env *Env,
+	wrap func(*policy.Tiered, *core) policy.Runtime) (*run, error) {
 
-	sched := trace.New(model)
-	if err := sched.Validate(); err != nil {
-		return nil, err
+	reg := cfg.Metrics
+	if wrap != nil && reg == nil {
+		reg = metrics.New(0)
 	}
-	s := &caStepper{
-		model: model, pol: pol, gc: gc, p: p, m: m, cfg: cfg, reg: reg,
-		release: release, sched: sched,
-		res: &Result{ModelName: model.Name, Mode: pol.Name(), Config: cfg},
-	}
-	s.res.recordPeaks(p)
-	if cfg.TraceEvents > 0 {
-		s.events = dm.NewEventLog(cfg.TraceEvents)
-		m.SetEventLog(s.events)
-	}
-	// The execution-trace recorder threads through every layer; nil (the
-	// default) records nothing and costs the instrumented paths a single
-	// branch each.
-	if cfg.Trace {
-		if env.shared() && env.Tracer != nil {
-			// The cluster owns the platform's tracer slot (its mux is
-			// already installed there, tagging events by tenant); this
-			// stepper only threads the shared recorder through its own
-			// layers.
-			s.tr = env.Tracer
-			s.sharedTrace = true
-			s.traffic = env.Traffic
-		} else {
-			s.tr = tracing.New(p.Clock.Now)
-			p.Clock.Tracer = s.tr
-			p.Copier.Tracer = s.tr
-		}
-		m.SetTracer(s.tr)
-		pol.SetTracer(s.tr)
-		gc.SetTracer(s.tr)
-	}
-	// The fault injector threads through the same layers as the tracer and
-	// follows the same discipline: absent a schedule, every hook stays nil
-	// and the run is byte-identical to an uninstrumented build.
-	if cfg.FaultSpec != "" {
-		fsched, err := faults.Parse(cfg.FaultSpec)
+	return newRun(model, name, cfg, reg, env, func(c *core) (backend, error) {
+		p := c.p
+		m, err := newManager(p, c.cfg, env)
 		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+			return nil, err
 		}
-		s.inj = faults.New(fsched, p.Clock.Now)
-		s.inj.SetTracer(s.tr)
-		p.Fast.Faults = s.inj
-		p.Slow.Faults = s.inj
-		p.Copier.Faults = s.inj
-		m.SetFaults(s.inj)
-	}
-	if cfg.CheckEveryAdvance {
-		s.chk = invariants.New(m, p).WithPolicy(pol)
-		env.attachChecker(s.chk)
-	}
-	// The metrics registry threads through the same layers with the same
-	// nil-safety discipline: every layer registers its series, the clock
-	// (or the cluster's fan-out hook) drives sampling, and a nil registry
-	// records nothing.
-	registerPlatformMetrics(reg, p)
-	env.attachRegistry(reg, p)
-	m.RegisterMetrics(reg)
-	pol.RegisterMetrics(reg)
-	gc.RegisterMetrics(reg)
-	s.rm = newRunMetrics(reg)
-	s.objs = make([]*dm.Object, len(model.Tensors))
-
-	for _, id := range sched.Persistent {
-		o, err := pol.NewObject(model.Tensors[id].Bytes)
-		if err != nil {
-			return nil, fmt.Errorf("engine: allocating persistent tensor %s: %w",
-				model.Tensors[id].Name, err)
+		gc := gcsim.New(m, p.Clock)
+		pcfg := policy.ConfigFor(mode)
+		pcfg.PreferCleanVictims = c.cfg.PreferCleanVictims
+		base := policy.NewTieredConfig(m, pcfg, name, gc)
+		var pol policy.Runtime = base
+		if wrap != nil {
+			pol = wrap(base, c)
 		}
-		s.objs[id] = o
-		s.tr.Bind(o.ID(), model.Tensors[id].Name, model.Tensors[id].Bytes)
-	}
-	if cfg.Iterations <= 0 {
-		s.done = true
-	}
-	return s, nil
+		b := &caBackend{core: c, pol: pol, gc: gc, m: m,
+			objs: make([]*dm.Object, len(model.Tensors))}
+		if c.cfg.TraceEvents > 0 {
+			b.events = dm.NewEventLog(c.cfg.TraceEvents)
+			m.SetEventLog(b.events)
+		}
+		// The execution-trace recorder threads through every layer; nil (the
+		// default) records nothing and costs the instrumented paths a single
+		// branch each.
+		if c.cfg.Trace {
+			if env.shared() && env.Tracer != nil {
+				// The cluster owns the platform's tracer slot (its mux is
+				// already installed there, tagging events by tenant); this
+				// run only threads the shared recorder through its own
+				// layers.
+				c.tr = env.Tracer
+				b.sharedTrace = true
+				b.traffic = env.Traffic
+			} else {
+				c.tr = tracing.New(p.Clock.Now)
+				p.Clock.Tracer = c.tr
+				p.Copier.Tracer = c.tr
+			}
+			m.SetTracer(c.tr)
+			pol.SetTracer(c.tr)
+			gc.SetTracer(c.tr)
+		}
+		// The fault injector threads through the same layers as the tracer and
+		// follows the same discipline: absent a schedule, every hook stays nil
+		// and the run is byte-identical to an uninstrumented build.
+		if c.cfg.FaultSpec != "" {
+			fsched, err := faults.Parse(c.cfg.FaultSpec)
+			if err != nil {
+				return nil, fmt.Errorf("engine: %w", err)
+			}
+			b.inj = faults.New(fsched, p.Clock.Now)
+			b.inj.SetTracer(c.tr)
+			p.Fast.Faults = b.inj
+			p.Slow.Faults = b.inj
+			p.Copier.Faults = b.inj
+			m.SetFaults(b.inj)
+		}
+		if c.cfg.CheckEveryAdvance {
+			b.chk = invariants.New(m, p).WithPolicy(pol)
+			env.attachChecker(b.chk)
+		}
+		m.RegisterMetrics(c.reg)
+		pol.RegisterMetrics(c.reg)
+		gc.RegisterMetrics(c.reg)
+		if c.cfg.AsyncMovement {
+			b.readyAt = make(map[int]float64, 64)
+		}
+		return b, nil
+	})
 }
 
-// Done reports whether every iteration has completed.
-func (s *caStepper) Done() bool { return s.done }
-
-// Step executes the next event: one kernel (with its hints, transient
-// allocations and post-kernel annotations) or one iteration boundary.
-func (s *caStepper) Step() (float64, error) {
-	if s.done {
-		return s.p.Clock.Now(), fmt.Errorf("engine: step after run completed")
+func (b *caBackend) place(id int) error {
+	t := &b.model.Tensors[id]
+	o, err := b.pol.NewObject(t.Bytes)
+	if err != nil {
+		return err
 	}
-	if !s.inIter {
-		s.beginIter()
-		s.inIter = true
-	}
-	if s.ki < len(s.model.Kernels) {
-		if err := s.kernelStep(); err != nil {
-			return s.p.Clock.Now(), err
-		}
-		s.ki++
-		return s.p.Clock.Now(), nil
-	}
-	if err := s.endIter(); err != nil {
-		return s.p.Clock.Now(), err
-	}
-	s.iter++
-	s.ki = 0
-	s.inIter = false
-	if s.iter >= s.cfg.Iterations {
-		s.done = true
-	}
-	return s.p.Clock.Now(), nil
+	b.objs[id] = o
+	b.tr.Bind(o.ID(), t.Name, t.Bytes)
+	return nil
 }
 
-// beginIter opens an iteration's measurement window.
-func (s *caStepper) beginIter() {
-	s.tr.BeginIter(s.iter)
-	s.iterStart = s.p.Clock.Now()
-	s.fastBase, s.slowBase = s.p.Fast.Counters(), s.p.Slow.Counters()
-	s.gcBase = s.gc.Stats().PauseTime
-	s.it = IterationMetrics{}
-	s.sampling = s.cfg.SampleHeap && s.iter == s.cfg.Iterations-1
-	if s.sampling {
-		s.res.HeapSamples = s.res.HeapSamples[:0]
+// hint emits one semantic hint for tensor id; the policy may move data in
+// response. With synchronous movement the application stalls here; with
+// an asynchronous mover the copies queue and only the data dependency is
+// recorded.
+func (b *caBackend) hint(id int, write bool) {
+	o := b.objs[id]
+	if o == nil || o.Retired() {
+		return
 	}
-	s.readyAt = nil
-	if s.cfg.AsyncMovement {
-		s.readyAt = make(map[int]float64, 64)
+	before := b.p.Copier.BusyUntil()
+	if write {
+		b.pol.WillWrite(o)
+	} else {
+		b.pol.WillRead(o)
+	}
+	// Record the dependency only when this hint actually queued movement
+	// for this object; unrelated background writebacks do not block the
+	// kernel.
+	if after := b.p.Copier.BusyUntil(); b.readyAt != nil && after > before {
+		b.readyAt[id] = after
 	}
 }
 
-// kernelStep executes kernel s.ki: transient allocations, semantic hints
-// (the policy may move data in response), the roofline kernel time with
+// kernel executes kernel ki: semantic hints, the roofline kernel time with
 // its arguments pinned, and the post-kernel archive/retire annotations.
-func (s *caStepper) kernelStep() error {
-	p, m, pol, model, iter, ki := s.p, s.m, s.pol, s.model, s.iter, s.ki
+// Transient placement and the hints share one stall window from t0.
+func (b *caBackend) kernel(ki int, t0 float64, it *IterationMetrics) error {
+	p, m, pol, model := b.p, b.m, b.pol, b.model
 	k := &model.Kernels[ki]
-	s.tr.BeginKernel(ki, k.Name)
-	hintStart := p.Clock.Now()
-
-	// Allocate transients whose first use is this kernel.
-	for _, id := range s.sched.AllocBefore[ki] {
-		o, err := pol.NewObject(model.Tensors[id].Bytes)
-		if err != nil {
-			return fmt.Errorf("engine: iter %d kernel %s: allocating %s: %w",
-				iter, k.Name, model.Tensors[id].Name, err)
-		}
-		s.objs[id] = o
-		s.tr.Bind(o.ID(), model.Tensors[id].Name, model.Tensors[id].Bytes)
-	}
-	// Emit the semantic hints; the policy may move data in
-	// response. With synchronous movement the application
-	// stalls here; with an asynchronous mover the copies
-	// queue and only the data dependency is recorded.
-	hint := func(id int, write bool) {
-		o := s.objs[id]
-		if o == nil || o.Retired() {
-			return
-		}
-		before := p.Copier.BusyUntil()
-		if write {
-			pol.WillWrite(o)
-		} else {
-			pol.WillRead(o)
-		}
-		// Record the dependency only when this hint
-		// actually queued movement for this object;
-		// unrelated background writebacks do not block
-		// the kernel.
-		if after := p.Copier.BusyUntil(); s.readyAt != nil && after > before {
-			s.readyAt[id] = after
-		}
-	}
 	for _, id := range k.Reads {
-		hint(id, false)
+		b.hint(id, false)
 	}
 	for _, id := range k.Writes {
-		hint(id, true)
+		b.hint(id, true)
 	}
 	// Lookahead: announce a future kernel's reads now, so an
 	// asynchronous mover can stage them behind this kernel's
 	// execution ("will read in the NEAR future", Table II).
-	if la := s.cfg.HintLookahead; la > 0 && ki+la < len(model.Kernels) {
+	if la := b.cfg.HintLookahead; la > 0 && ki+la < len(model.Kernels) {
 		for _, id := range model.Kernels[ki+la].Reads {
-			hint(id, false)
+			b.hint(id, false)
 		}
 	}
 	// The stall events carry the exact floats MoveTime
 	// accumulates, in the same order, so tracing.Verify can
 	// demand bit-exact equality per iteration; zero deltas
 	// are skipped (x + 0 == x).
-	hintStall := p.Clock.Now() - hintStart
-	s.it.MoveTime += hintStall
-	s.rm.stall(hintStall)
+	hintStall := p.Clock.Now() - t0
+	it.MoveTime += hintStall
+	b.rm.stall(hintStall)
 	if hintStall != 0 {
-		s.tr.Stall("hint", 0, hintStall)
+		b.tr.Stall("hint", 0, hintStall)
 	}
 	// Wait for this kernel's arguments to finish moving.
-	if s.readyAt != nil {
+	if b.readyAt != nil {
 		var need float64
 		blocking := -1
 		for _, id := range append(append([]int{}, k.Reads...), k.Writes...) {
-			if t, ok := s.readyAt[id]; ok && t > need {
+			if t, ok := b.readyAt[id]; ok && t > need {
 				need = t
 				blocking = id
 			}
 		}
 		if wait := need - p.Clock.Now(); wait > 0 {
 			p.Clock.Advance(wait)
-			s.it.MoveTime += wait
-			s.rm.stall(wait)
-			if s.tr.Enabled() {
+			it.MoveTime += wait
+			b.rm.stall(wait)
+			if b.tr.Enabled() {
 				var obj uint64
-				if blocking >= 0 && s.objs[blocking] != nil {
-					obj = s.objs[blocking].ID()
+				if blocking >= 0 && b.objs[blocking] != nil {
+					obj = b.objs[blocking].ID()
 				}
-				s.tr.Stall("wait", obj, wait)
+				b.tr.Stall("wait", obj, wait)
 			}
 		}
 	}
@@ -404,7 +280,7 @@ func (s *caStepper) kernelStep() error {
 	var readBytes, writeBytes [2]int64
 	rf := k.EffectiveReadFactor()
 	for _, id := range k.Reads {
-		o := s.objs[id]
+		o := b.objs[id]
 		pol.Pin(o)
 		// Kernel-internal re-reads of the data input
 		// stream from wherever the primary lives — there
@@ -417,124 +293,109 @@ func (s *caStepper) kernelStep() error {
 		readBytes[m.GetPrimary(o).Class()] += int64(float64(o.Size()) * f)
 	}
 	for _, id := range k.Writes {
-		o := s.objs[id]
+		o := b.objs[id]
 		pol.Pin(o)
 		writeBytes[m.GetPrimary(o).Class()] += o.Size()
 	}
 	kt := kernelTime(p, k.FLOPs, readBytes, writeBytes)
 	p.Clock.Advance(kt)
-	s.it.ComputeTime += kt
-	s.rm.kernel(kt)
-	if s.tr.Enabled() {
+	it.ComputeTime += kt
+	b.rm.kernel(kt)
+	if b.tr.Enabled() {
 		now := p.Clock.Now()
-		s.tr.Kernel(now-kt, now,
+		b.tr.Kernel(now-kt, now,
 			k.FLOPs/p.Compute.PeakFlops+p.Compute.LaunchOverhead)
-		s.tr.KernelIO(p.Fast.Name, readBytes[0], writeBytes[0])
-		s.tr.KernelIO(p.Slow.Name, readBytes[1], writeBytes[1])
+		b.tr.KernelIO(p.Fast.Name, readBytes[0], writeBytes[0])
+		b.tr.KernelIO(p.Slow.Name, readBytes[1], writeBytes[1])
 	}
 	for _, id := range k.Reads {
-		pol.Unpin(s.objs[id])
+		pol.Unpin(b.objs[id])
 	}
 	for _, id := range k.Writes {
-		pol.Unpin(s.objs[id])
+		pol.Unpin(b.objs[id])
 	}
 
 	// Post-kernel annotations.
-	if !s.cfg.NoArchiveHints {
-		for _, id := range s.sched.ArchiveAfter[ki] {
-			pol.Archive(s.objs[id])
+	if !b.cfg.NoArchiveHints {
+		for _, id := range b.sched.ArchiveAfter[ki] {
+			pol.Archive(b.objs[id])
 		}
 	}
-	for _, id := range s.sched.RetireAfter[ki] {
-		pol.Retire(s.objs[id])
-		s.objs[id] = nil
+	for _, id := range b.sched.RetireAfter[ki] {
+		pol.Retire(b.objs[id])
+		b.objs[id] = nil
 	}
-
-	used := m.UsedBytes(dm.Fast) + m.UsedBytes(dm.Slow)
-	if used > s.res.PeakHeap {
-		s.res.PeakHeap = used
-	}
-	if s.sampling {
-		s.res.HeapSamples = append(s.res.HeapSamples,
-			HeapSample{Time: p.Clock.Now() - s.iterStart, Used: used})
-	}
-	s.tr.EndKernel()
 	return nil
 }
 
-// endIter closes the iteration: drain any in-flight asynchronous moves,
-// then the paper's procedure — invoke the GC to clean up all temporary
-// memory and defragment the heaps (§IV-A). The GC pause is measured;
-// defragmentation happens between the measurement windows.
-func (s *caStepper) endIter() error {
-	p, iter := s.p, s.iter
-	if s.cfg.AsyncMovement {
-		if wait := p.Copier.BusyUntil() - p.Clock.Now(); wait > 0 {
-			p.Clock.Advance(wait)
-			s.it.MoveTime += wait
-			s.rm.stall(wait)
-			s.tr.Stall("drain", 0, wait)
-		}
-	}
-	s.gc.Collect()
-	s.it.GCTime = s.gc.Stats().PauseTime - s.gcBase
-	s.it.Time = p.Clock.Now() - s.iterStart
-	s.rm.iter(s.it.Time)
-	s.it.Fast = p.Fast.Counters().Sub(s.fastBase)
-	s.it.Slow = p.Slow.Counters().Sub(s.slowBase)
-	s.res.Iterations = append(s.res.Iterations, s.it)
-	s.tr.Iter(iter, s.iterStart, p.Clock.Now())
+func (b *caBackend) resident() int64 {
+	return b.m.UsedBytes(dm.Fast) + b.m.UsedBytes(dm.Slow)
+}
 
-	if s.cfg.CheckInvariants {
-		if err := s.pol.CheckInvariants(); err != nil {
-			return fmt.Errorf("engine: after iter %d: %w", iter, err)
+// collect drains any in-flight asynchronous moves, then invokes the GC to
+// clean up all temporary memory.
+func (b *caBackend) collect(it *IterationMetrics) {
+	if b.readyAt != nil {
+		if wait := b.p.Copier.BusyUntil() - b.p.Clock.Now(); wait > 0 {
+			b.p.Clock.Advance(wait)
+			it.MoveTime += wait
+			b.rm.stall(wait)
+			b.tr.Stall("drain", 0, wait)
 		}
-		if live := transientLive(s.objs, s.sched); live != 0 {
-			return fmt.Errorf("engine: %d transient objects leaked after iter %d", live, iter)
+		clear(b.readyAt) // every recorded move has landed
+	}
+	b.gc.Collect()
+	pause := b.gc.Stats().PauseTime
+	it.GCTime = pause - b.gcSeen
+	b.gcSeen = pause
+}
+
+func (b *caBackend) settle() error {
+	if b.cfg.CheckInvariants {
+		if err := b.pol.CheckInvariants(); err != nil {
+			return err
+		}
+		// Every transient must be nil or retired after the final GC.
+		for id, o := range b.objs {
+			if o != nil && !b.persistent[id] && !o.Retired() {
+				return fmt.Errorf("transient tensor %s leaked", b.model.Tensors[id].Name)
+			}
 		}
 	}
-	if s.chk != nil {
-		if err := s.chk.Err(); err != nil {
-			return fmt.Errorf("engine: during iter %d: %w", iter, err)
+	if b.chk != nil {
+		if err := b.chk.Err(); err != nil {
+			return err
 		}
 		// The iteration boundary is a quiesce point: every region
 		// must be bound and the policy accounting exact.
-		if err := s.chk.CheckQuiesced(); err != nil {
-			return fmt.Errorf("engine: after iter %d: %w", iter, err)
+		if err := b.chk.CheckQuiesced(); err != nil {
+			return err
 		}
 	}
-	s.m.Defrag(dm.Fast)
-	s.m.Defrag(dm.Slow)
+	b.m.Defrag(dm.Fast)
+	b.m.Defrag(dm.Slow)
 	return nil
 }
 
-// Finish finalizes the run and returns the Result.
-func (s *caStepper) Finish() (*Result, error) {
-	if !s.done {
-		return nil, fmt.Errorf("engine: finish before run completed")
-	}
-	if s.finished {
-		return nil, fmt.Errorf("engine: double finish")
-	}
-	s.finished = true
-	p, res := s.p, s.res
-	res.Policy = s.pol.Stats()
-	res.DM = s.m.Stats()
-	res.GC = s.gc.Stats()
-	res.Faults = s.inj.Stats()
-	if src, ok := s.pol.(policy.AdaptiveSource); ok {
+func (b *caBackend) finish(res *Result) error {
+	p := b.p
+	res.Policy = b.pol.Stats()
+	res.DM = b.m.Stats()
+	res.GC = b.gc.Stats()
+	res.Faults = b.inj.Stats()
+	if src, ok := b.pol.(policy.AdaptiveSource); ok {
 		res.Adaptive = src.AdaptiveStats()
 	}
-	if s.chk != nil {
-		res.InvariantChecks = s.chk.Checks()
-		if err := s.chk.Err(); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+	if b.chk != nil {
+		res.InvariantChecks = b.chk.Checks()
+		if err := b.chk.Err(); err != nil {
+			return fmt.Errorf("engine: %w", err)
 		}
 	}
-	if s.events != nil {
-		res.Events = s.events.Events()
+	if b.events != nil {
+		res.Events = b.events.Events()
 	}
-	if s.tr.Enabled() {
+	if b.tr.Enabled() {
 		// Embed the run's authoritative aggregates as the trailing
 		// event, making the trace self-contained: tracing.Verify
 		// re-derives each of these from the event stream and demands
@@ -545,13 +406,13 @@ func (s *caStepper) Finish() (*Result, error) {
 		}
 		fc, sc := p.Fast.Counters(), p.Slow.Counters()
 		fr, fw, sr, sw := fc.ReadBytes, fc.WriteBytes, sc.ReadBytes, sc.WriteBytes
-		if s.traffic != nil {
+		if b.traffic != nil {
 			// Shared platform: whole-platform counters mix every tenant's
 			// traffic; use the owner's per-tenant attribution so this
 			// lane's totals decompose this tenant's events exactly.
-			fr, fw, sr, sw = s.traffic()
+			fr, fw, sr, sw = b.traffic()
 		}
-		s.tr.EmitTotals(tracing.Totals{
+		b.tr.EmitTotals(tracing.Totals{
 			Copies:          res.DM.Copies,
 			BytesFastToSlow: res.DM.BytesFastToSlow,
 			BytesSlowToFast: res.DM.BytesSlowToFast,
@@ -565,33 +426,11 @@ func (s *caStepper) Finish() (*Result, error) {
 			SlowReadBytes:   sr,
 			SlowWriteBytes:  sw,
 			MoveTimeByIter:  moveByIter,
-			Async:           s.cfg.AsyncMovement,
+			Async:           b.cfg.AsyncMovement,
 		})
-		if !s.sharedTrace {
-			res.Trace = s.tr.Events()
+		if !b.sharedTrace {
+			res.Trace = b.tr.Events()
 		}
 	}
-	finishMetrics(s.reg, s.model.Name, s.pol.Name(), p.Clock.Now())
-	s.release()
-	res.aggregate()
-	return res, nil
-}
-
-// transientLive counts transient objects still alive (all must be nil or
-// retired after an iteration's final GC).
-func transientLive(objs []*dm.Object, sched *trace.Schedule) int {
-	persistent := make(map[int]bool, len(sched.Persistent))
-	for _, id := range sched.Persistent {
-		persistent[id] = true
-	}
-	n := 0
-	for id, o := range objs {
-		if o == nil || persistent[id] {
-			continue
-		}
-		if !o.Retired() {
-			n++
-		}
-	}
-	return n
+	return nil
 }

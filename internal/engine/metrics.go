@@ -5,22 +5,17 @@ import (
 	"cachedarrays/internal/metrics"
 )
 
-// registerPlatformMetrics registers the device- and copy-engine-level
+// RegisterPlatformMetrics registers the device- and copy-engine-level
 // series: cumulative traffic and busy time per device, achieved bandwidth
 // as a fraction of the mixed peak (the Fig. 6 bus-utilization metric,
 // sampled over time instead of averaged per run), and the asynchronous
 // mover's queue depth and backlog. A nil registry registers nothing.
 // Sampling is wired separately (Env.attachRegistry): the clock drives it
 // on a solo run, the cluster's fan-out hook on a shared platform.
-// RegisterPlatformMetrics exposes the platform series to owners outside
-// the engine: the cluster registers them into its cluster-level registry
-// so a multi-tenant run exports the shared devices' traffic and
-// utilization alongside the per-tenant series.
+// It is exported for owners outside the engine: the cluster registers the
+// series into its cluster-level registry so a multi-tenant run exports the
+// shared devices' traffic and utilization alongside the per-tenant series.
 func RegisterPlatformMetrics(reg *metrics.Registry, p *memsim.Platform) {
-	registerPlatformMetrics(reg, p)
-}
-
-func registerPlatformMetrics(reg *metrics.Registry, p *memsim.Platform) {
 	if !reg.Enabled() {
 		return
 	}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"cachedarrays/internal/alloc"
-	"cachedarrays/internal/memsim"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/pagemig"
-	"cachedarrays/internal/trace"
 )
 
 // RunPageMig executes a training run under the OS page-tiering baseline
@@ -18,138 +16,59 @@ import (
 // pre-allocated heap) so the comparison isolates the data-movement
 // mechanism.
 func RunPageMig(model *models.Model, pcfg pagemig.Config, cfg Config) (*Result, error) {
-	st, err := newPageMigStepper(model, pcfg, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
+	return drive(newPageMigRun(model, pcfg, cfg, nil))
 }
 
-// pagemigStepper is the event-driven form of the OS page-tiering run.
-type pagemigStepper struct {
-	model   *models.Model
-	pcfg    pagemig.Config
-	cfg     Config
-	p       *memsim.Platform
-	release func()
-	mig     *pagemig.Migrator
-	sched   *trace.Schedule
-	res     *Result
-	rm      runMetrics
-	heap    alloc.Allocator
-	addrs   []int64
+// pagemigBackend is the OS page-tiering memory system: a flat heap whose
+// pages the migration daemon moves between tiers by observed hotness.
+type pagemigBackend struct {
+	*core
+	pcfg  pagemig.Config
+	mig   *pagemig.Migrator
+	heap  alloc.Allocator
+	addrs []int64
 
 	// The migration daemon's epoch cadence spans iteration boundaries:
 	// the counter deliberately persists across iterations.
 	kernelsSinceEpoch int
-
-	iter               int
-	ki                 int
-	inIter             bool
-	it                 IterationMetrics
-	iterStart          float64
-	fastBase, slowBase memsim.Counters
-	sampling           bool
-	done               bool
-	finished           bool
 }
 
-func newPageMigStepper(model *models.Model, pcfg pagemig.Config, cfg Config, env *Env) (*pagemigStepper, error) {
-	cfg = cfg.withDefaults()
+func newPageMigRun(model *models.Model, pcfg pagemig.Config, cfg Config, env *Env) (*run, error) {
 	if pcfg.PageSize == 0 {
 		pcfg = pagemig.DefaultConfig()
 	}
-	p, release := env.acquire(cfg)
-	mig, err := pagemig.New(p, pcfg)
-	if err != nil {
-		return nil, err
-	}
-	sched := trace.New(model)
-	if err := sched.Validate(); err != nil {
-		return nil, err
-	}
-	s := &pagemigStepper{
-		model: model, pcfg: pcfg, cfg: cfg, p: p, release: release,
-		mig: mig, sched: sched,
-		res: &Result{ModelName: model.Name, Mode: "OS:page", Config: cfg},
-	}
-	s.res.recordPeaks(p)
-
-	s.heap = env.limitSlow(alloc.NewFreeList(p.Slow.Capacity, alloc.FirstFit))
-	registerPlatformMetrics(cfg.Metrics, p)
-	env.attachRegistry(cfg.Metrics, p)
-	s.rm = newRunMetrics(cfg.Metrics)
-	if cfg.Metrics.Enabled() {
-		cfg.Metrics.Gauge("pagemig_heap_used_bytes", func() float64 { return float64(s.heap.Used()) })
-	}
-	s.addrs = make([]int64, len(model.Tensors))
-	for _, id := range sched.Persistent {
-		if err := s.allocate(id); err != nil {
+	return newRun(model, "OS:page", cfg, cfg.Metrics, env, func(c *core) (backend, error) {
+		mig, err := pagemig.New(c.p, pcfg)
+		if err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Iterations <= 0 {
-		s.done = true
-	}
-	return s, nil
+		b := &pagemigBackend{core: c, pcfg: pcfg, mig: mig,
+			heap:  env.limitSlow(alloc.NewFreeList(c.p.Slow.Capacity, alloc.FirstFit)),
+			addrs: make([]int64, len(model.Tensors)),
+		}
+		if c.reg.Enabled() {
+			c.reg.Gauge("pagemig_heap_used_bytes", func() float64 { return float64(b.heap.Used()) })
+		}
+		return b, nil
+	})
 }
 
-func (s *pagemigStepper) allocate(id int) error {
-	a, err := s.heap.Alloc(s.model.Tensors[id].Bytes)
+func (b *pagemigBackend) place(id int) error {
+	a, err := b.heap.Alloc(b.model.Tensors[id].Bytes)
 	if err != nil {
-		return fmt.Errorf("engine: pagemig heap: allocating %s: %w", s.model.Tensors[id].Name, err)
+		return fmt.Errorf("pagemig heap: %w", err)
 	}
-	s.addrs[id] = a
+	b.addrs[id] = a
 	return nil
 }
 
-func (s *pagemigStepper) Done() bool { return s.done }
-
-func (s *pagemigStepper) Step() (float64, error) {
-	if s.done {
-		return s.p.Clock.Now(), fmt.Errorf("engine: step after run completed")
-	}
-	if !s.inIter {
-		s.iterStart = s.p.Clock.Now()
-		s.fastBase, s.slowBase = s.p.Fast.Counters(), s.p.Slow.Counters()
-		s.it = IterationMetrics{}
-		s.sampling = s.cfg.SampleHeap && s.iter == s.cfg.Iterations-1
-		if s.sampling {
-			s.res.HeapSamples = s.res.HeapSamples[:0]
-		}
-		s.inIter = true
-	}
-	if s.ki < len(s.model.Kernels) {
-		if err := s.kernelStep(); err != nil {
-			return s.p.Clock.Now(), err
-		}
-		s.ki++
-		return s.p.Clock.Now(), nil
-	}
-	if err := s.endIter(); err != nil {
-		return s.p.Clock.Now(), err
-	}
-	s.iter++
-	s.ki = 0
-	s.inIter = false
-	if s.iter >= s.cfg.Iterations {
-		s.done = true
-	}
-	return s.p.Clock.Now(), nil
-}
-
-func (s *pagemigStepper) kernelStep() error {
-	p, model, ki := s.p, s.model, s.ki
+func (b *pagemigBackend) kernel(ki int, _ float64, it *IterationMetrics) error {
+	p, model := b.p, b.model
 	k := &model.Kernels[ki]
-	for _, id := range s.sched.AllocBefore[ki] {
-		if err := s.allocate(id); err != nil {
-			return err
-		}
-	}
 	var memTime float64
 	rf := k.EffectiveReadFactor()
 	for _, id := range k.Reads {
-		r := s.mig.Access(s.addrs[id], model.Tensors[id].Bytes, false, kernelAccess)
+		r := b.mig.Access(b.addrs[id], model.Tensors[id].Bytes, false, kernelAccess)
 		memTime += r.Time
 		if !amplified(model.Tensors[id].Kind) || rf <= 1 {
 			continue
@@ -161,67 +80,48 @@ func (s *pagemigStepper) kernelStep() error {
 		memTime += p.Slow.Read(int64(float64(r.SlowBytes)*extra), kernelAccess)
 	}
 	for _, id := range k.Writes {
-		memTime += s.mig.Access(s.addrs[id], model.Tensors[id].Bytes, true, kernelAccess).Time
+		memTime += b.mig.Access(b.addrs[id], model.Tensors[id].Bytes, true, kernelAccess).Time
 	}
 	kt := k.FLOPs/p.Compute.PeakFlops + p.Compute.LaunchOverhead
 	if memTime > kt {
 		kt = memTime
 	}
 	p.Clock.Advance(kt)
-	s.it.ComputeTime += kt
-	s.rm.kernel(kt)
+	it.ComputeTime += kt
+	b.rm.kernel(kt)
 
 	// The OS daemon wakes periodically; its migrations land
 	// on the application's critical path (page faults, TLB
 	// shootdowns). The copier has already advanced the
 	// clock; account the duration as movement stall.
-	s.kernelsSinceEpoch++
-	if s.kernelsSinceEpoch >= s.pcfg.EpochKernels {
-		epoch := s.mig.Epoch()
-		s.it.MoveTime += epoch
-		s.rm.stall(epoch)
-		s.kernelsSinceEpoch = 0
+	b.kernelsSinceEpoch++
+	if b.kernelsSinceEpoch >= b.pcfg.EpochKernels {
+		epoch := b.mig.Epoch()
+		it.MoveTime += epoch
+		b.rm.stall(epoch)
+		b.kernelsSinceEpoch = 0
 	}
 
-	for _, id := range s.sched.RetireAfter[ki] {
-		s.heap.Free(s.addrs[id]) // eager, best-case resource management
-	}
-	if s.heap.Used() > s.res.PeakHeap {
-		s.res.PeakHeap = s.heap.Used()
-	}
-	if s.sampling {
-		s.res.HeapSamples = append(s.res.HeapSamples,
-			HeapSample{Time: p.Clock.Now() - s.iterStart, Used: s.heap.Used()})
+	for _, id := range b.sched.RetireAfter[ki] {
+		b.heap.Free(b.addrs[id]) // eager, best-case resource management
 	}
 	return nil
 }
 
-func (s *pagemigStepper) endIter() error {
-	p, iter := s.p, s.iter
-	s.it.Time = p.Clock.Now() - s.iterStart
-	s.rm.iter(s.it.Time)
-	s.it.Fast = p.Fast.Counters().Sub(s.fastBase)
-	s.it.Slow = p.Slow.Counters().Sub(s.slowBase)
-	s.res.Iterations = append(s.res.Iterations, s.it)
+func (b *pagemigBackend) resident() int64 { return b.heap.Used() }
 
-	if s.cfg.CheckInvariants {
-		if err := s.heap.CheckInvariants(); err != nil {
-			return fmt.Errorf("engine: pagemig heap after iter %d: %w", iter, err)
-		}
+// collect has nothing to do: frees are eager and the daemon runs on its
+// own cadence.
+func (b *pagemigBackend) collect(*IterationMetrics) {}
+
+func (b *pagemigBackend) settle() error {
+	if !b.cfg.CheckInvariants {
+		return nil
+	}
+	if err := b.heap.CheckInvariants(); err != nil {
+		return fmt.Errorf("pagemig heap: %w", err)
 	}
 	return nil
 }
 
-func (s *pagemigStepper) Finish() (*Result, error) {
-	if !s.done {
-		return nil, fmt.Errorf("engine: finish before run completed")
-	}
-	if s.finished {
-		return nil, fmt.Errorf("engine: double finish")
-	}
-	s.finished = true
-	finishMetrics(s.cfg.Metrics, s.model.Name, "OS:page", s.p.Clock.Now())
-	s.release()
-	s.res.aggregate()
-	return s.res, nil
-}
+func (b *pagemigBackend) finish(*Result) error { return nil }

@@ -14,14 +14,14 @@ import (
 	"cachedarrays/internal/tracing"
 )
 
-// Stepper is the event-driven core of a run: the per-mode execution loops
-// (CA, 2LM, OS page migration, AutoTM plans) are all expressed as a
-// sequence of discrete events — one kernel with its surrounding hints and
-// annotations, or one end-of-iteration boundary (drain, GC, defrag,
-// audits) — that a driver dispatches one at a time. Run to completion
-// (Drive) this is byte-identical to the old straight-line loops; dispatched
-// by the cluster simulator, many jobs interleave their events on one
-// shared platform under a single virtual clock.
+// Stepper is the event-driven core of a run: every mode is one schedule
+// walk (the unexported run type) over a per-mode memory backend, expressed
+// as a sequence of discrete events — one kernel with its surrounding
+// hints and annotations, or one end-of-iteration boundary (drain, GC,
+// defrag, audits) — that a driver dispatches one at a time. Run to
+// completion (Drive) this is the solo run; dispatched by the cluster
+// simulator, many jobs interleave their events on one shared platform
+// under a single virtual clock.
 type Stepper interface {
 	// Step executes the run's next event and returns the virtual time at
 	// which the job can next run — the global clock after the event, i.e.
@@ -148,30 +148,34 @@ func Drive(st Stepper) (*Result, error) {
 	return st.Finish()
 }
 
+// Modes lists the canonical operating-mode names NewStepper accepts, in
+// presentation order: the one list help texts and error messages quote.
+var Modes = []string{"2LM:0", "2LM:M", "CA:0", "CA:L", "CA:LM", "CA:LMP",
+	AdaptiveOG, AdaptiveTG, AdaptiveOGTG, "OS:page", "AutoTM"}
+
 // NewStepper builds the event-driven form of a run in the given canonical
-// operating mode ("2LM:0", "2LM:M", "CA:0", "CA:L", "CA:LM", "CA:LMP",
-// "CA:OG", "CA:TG", "CA:OGTG", "OS:page", "AutoTM"). It is the single
-// mode dispatcher underneath sched.RunMode and the cluster simulator.
+// operating mode (one of Modes). It is the single mode dispatcher
+// underneath sched.RunMode and the cluster simulator.
 func NewStepper(m *models.Model, mode string, cfg Config, env *Env) (Stepper, error) {
 	switch mode {
 	case "2LM:0":
-		return new2LMStepper(m, false, cfg, env)
+		return new2LMRun(m, false, cfg, env)
 	case "2LM:M":
-		return new2LMStepper(m, true, cfg, env)
+		return new2LMRun(m, true, cfg, env)
 	case "CA:0":
-		return newCAModeStepper(m, policy.CAZero, cfg, env)
+		return newCARun(m, mode, policy.CAZero, cfg, env, nil)
 	case "CA:L":
-		return newCAModeStepper(m, policy.CAL, cfg, env)
+		return newCARun(m, mode, policy.CAL, cfg, env, nil)
 	case "CA:LM":
-		return newCAModeStepper(m, policy.CALM, cfg, env)
+		return newCARun(m, mode, policy.CALM, cfg, env, nil)
 	case "CA:LMP":
-		return newCAModeStepper(m, policy.CALMP, cfg, env)
+		return newCARun(m, mode, policy.CALMP, cfg, env, nil)
 	case AdaptiveOG, AdaptiveTG, AdaptiveOGTG:
-		return newAdaptiveStepper(m, mode, cfg, env)
+		return newAdaptiveRun(m, mode, cfg, env)
 	case "OS:page":
-		return newPageMigStepper(m, pagemig.DefaultConfig(), cfg, env)
+		return newPageMigRun(m, pagemig.DefaultConfig(), cfg, env)
 	case "AutoTM":
-		return newPlannedStepper(m, nil, cfg, env)
+		return newPlannedRun(m, nil, cfg, env)
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownMode, mode)
 	}

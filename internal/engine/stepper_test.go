@@ -1,0 +1,112 @@
+package engine
+
+import (
+	"reflect"
+	"testing"
+
+	"cachedarrays/internal/models"
+	"cachedarrays/internal/pagemig"
+	"cachedarrays/internal/policy"
+	"cachedarrays/internal/units"
+)
+
+// runEntry is the exported Run* entry point matching a canonical mode.
+func runEntry(m *models.Model, mode string, cfg Config) (*Result, error) {
+	switch mode {
+	case "2LM:0", "2LM:M":
+		return Run2LM(m, mode == "2LM:M", cfg)
+	case "CA:0":
+		return RunCA(m, policy.CAZero, cfg)
+	case "CA:L":
+		return RunCA(m, policy.CAL, cfg)
+	case "CA:LM":
+		return RunCA(m, policy.CALM, cfg)
+	case "CA:LMP":
+		return RunCA(m, policy.CALMP, cfg)
+	case "OS:page":
+		return RunPageMig(m, pagemig.DefaultConfig(), cfg)
+	case "AutoTM":
+		return RunPlanned(m, nil, cfg)
+	default:
+		return RunCAAdaptive(m, mode, cfg)
+	}
+}
+
+// TestStepperProtocol drives every canonical mode by hand and checks the
+// Stepper contract the cluster dispatcher relies on: Step returns the
+// platform clock and never goes back, the three misuse guards fire, the
+// heap is sampled in every mode, and a driven stepper is the Run* result.
+func TestStepperProtocol(t *testing.T) {
+	m := models.ResNet(50, 32)
+	cfg := Config{Iterations: 2, CheckInvariants: true, SampleHeap: true,
+		FastCapacity: 2 * units.GB, SlowCapacity: 32 * units.GB}
+	if len(Modes) != 11 {
+		t.Fatalf("%d canonical modes, want 11", len(Modes))
+	}
+	for _, mode := range Modes {
+		t.Run(mode, func(t *testing.T) {
+			st, err := NewStepper(m, mode, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Finish(); err == nil {
+				t.Error("Finish before Done succeeded")
+			}
+			clock := st.(*run).p.Clock
+			last, steps := clock.Now(), 0
+			for !st.Done() {
+				now, err := st.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if now != clock.Now() || now < last {
+					t.Fatalf("step %d returned %g: clock %g, previous %g", steps, now, clock.Now(), last)
+				}
+				last = now
+				steps++
+			}
+			if want := cfg.Iterations * (len(m.Kernels) + 1); steps != want {
+				t.Errorf("%d steps, want %d", steps, want)
+			}
+			if _, err := st.Step(); err == nil {
+				t.Error("Step after Done succeeded")
+			}
+			got, err := st.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Finish(); err == nil {
+				t.Error("second Finish succeeded")
+			}
+			if len(got.HeapSamples) != len(m.Kernels) {
+				t.Errorf("%d heap samples, want one per kernel (%d)", len(got.HeapSamples), len(m.Kernels))
+			}
+			want, err := runEntry(m, mode, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("hand-driven stepper differs from the Run* entry point")
+			}
+		})
+	}
+}
+
+// TestStepperNoIterations covers the setup-only run: a negative iteration
+// count (zero means the paper default) is Done at once and finishes with
+// no measured iterations.
+func TestStepperNoIterations(t *testing.T) {
+	m := models.MLP(256, []int{256}, 16, 8)
+	for _, mode := range Modes {
+		st, err := NewStepper(m, mode, Config{Iterations: -1}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if !st.Done() {
+			t.Errorf("%s: not Done with no iterations to run", mode)
+		}
+		if r, err := st.Finish(); err != nil || len(r.Iterations) != 0 {
+			t.Errorf("%s: Finish = %v iterations, err %v", mode, r, err)
+		}
+	}
+}

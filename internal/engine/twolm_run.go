@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"cachedarrays/internal/alloc"
-	"cachedarrays/internal/memsim"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/trace"
 	"cachedarrays/internal/twolm"
 )
 
@@ -24,176 +22,96 @@ import (
 // as the baseline"), so allocation-side effects are identical across
 // systems and only the data-movement mechanism differs.
 func Run2LM(model *models.Model, memOpt bool, cfg Config) (*Result, error) {
-	st, err := new2LMStepper(model, memOpt, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(st)
+	return drive(new2LMRun(model, memOpt, cfg, nil))
 }
 
-// twolmStepper is the event-driven form of the 2LM baseline run.
-type twolmStepper struct {
-	model   *models.Model
-	memOpt  bool
-	cfg     Config
-	p       *memsim.Platform
-	release func()
-	cache   *twolm.Cache
-	sched   *trace.Schedule
-	res     *Result
-	rm      runMetrics
-	mode    string
-	heap    alloc.Allocator
-	addrs   []int64
-	live    []bool
+// twolmBackend is the 2LM memory system: a flat heap over the slow
+// device's address space behind the transparent DRAM cache.
+type twolmBackend struct {
+	*core
+	memOpt bool
+	cache  *twolm.Cache
+	heap   alloc.Allocator
+	addrs  []int64
+	live   []bool
 
 	// Deferred-death list for the Ø mode (the GC the paper's Julia
 	// runtime provides). Pause constants mirror gcsim.
-	dead     []int
-	gcPauses float64
+	dead               []int
+	collections, freed int64
+	gcPauses           float64
 
-	iter               int
-	ki                 int
-	inIter             bool
-	it                 IterationMetrics
-	iterStart          float64
-	fastBase, slowBase memsim.Counters
-	cacheBase          twolm.Stats
-	gcBase             float64
-	sampling           bool
-	done               bool
-	finished           bool
+	// The cumulative pause and cache statistics at the previous collect.
+	gcSeen    float64
+	cacheSeen twolm.Stats
 }
 
 const twolmPauseBase, twolmPausePerObject = 1e-3, 2e-7
 
-func new2LMStepper(model *models.Model, memOpt bool, cfg Config, env *Env) (*twolmStepper, error) {
-	cfg = cfg.withDefaults()
-	p, release := env.acquire(cfg)
-	cache, err := twolm.New(p.Fast, p.Slow, cfg.TwoLM)
-	if err != nil {
-		return nil, err
-	}
-	sched := trace.New(model)
-	if err := sched.Validate(); err != nil {
-		return nil, err
-	}
+func new2LMRun(model *models.Model, memOpt bool, cfg Config, env *Env) (*run, error) {
 	mode := "2LM:0"
 	if memOpt {
 		mode = "2LM:M"
 	}
-	s := &twolmStepper{
-		model: model, memOpt: memOpt, cfg: cfg, p: p, release: release,
-		cache: cache, sched: sched, mode: mode,
-		res: &Result{ModelName: model.Name, Mode: mode, Config: cfg},
-	}
-	s.res.recordPeaks(p)
-
-	// The flat heap spans the slow device's physical address space; under
-	// a shared platform the slow-tier budget arbitrates it with the other
-	// tenants' heaps.
-	s.heap = env.limitSlow(alloc.NewFreeList(p.Slow.Capacity, alloc.FirstFit))
-	registerPlatformMetrics(cfg.Metrics, p)
-	env.attachRegistry(cfg.Metrics, p)
-	s.rm = newRunMetrics(cfg.Metrics)
-	if cfg.Metrics.Enabled() {
-		cfg.Metrics.Gauge("twolm_heap_used_bytes", func() float64 { return float64(s.heap.Used()) })
-		cfg.Metrics.CounterFunc("twolm_cache_hits", func() float64 { return float64(cache.Stats().Hits) })
-		cfg.Metrics.CounterFunc("twolm_cache_clean_misses", func() float64 { return float64(cache.Stats().CleanMisses) })
-		cfg.Metrics.CounterFunc("twolm_cache_dirty_misses", func() float64 { return float64(cache.Stats().DirtyMisses) })
-	}
-	s.addrs = make([]int64, len(model.Tensors))
-	s.live = make([]bool, len(model.Tensors))
-
-	for _, id := range sched.Persistent {
-		if err := s.allocate(id); err != nil {
+	return newRun(model, mode, cfg, cfg.Metrics, env, func(c *core) (backend, error) {
+		cache, err := twolm.New(c.p.Fast, c.p.Slow, c.cfg.TwoLM)
+		if err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Iterations <= 0 {
-		s.done = true
-	}
-	return s, nil
+		b := &twolmBackend{core: c, memOpt: memOpt, cache: cache,
+			// The flat heap spans the slow device's physical address space;
+			// under a shared platform the slow-tier budget arbitrates it
+			// with the other tenants' heaps.
+			heap:  env.limitSlow(alloc.NewFreeList(c.p.Slow.Capacity, alloc.FirstFit)),
+			addrs: make([]int64, len(model.Tensors)),
+			live:  make([]bool, len(model.Tensors)),
+		}
+		if c.reg.Enabled() {
+			c.reg.Gauge("twolm_heap_used_bytes", func() float64 { return float64(b.heap.Used()) })
+			c.reg.CounterFunc("twolm_cache_hits", func() float64 { return float64(cache.Stats().Hits) })
+			c.reg.CounterFunc("twolm_cache_clean_misses", func() float64 { return float64(cache.Stats().CleanMisses) })
+			c.reg.CounterFunc("twolm_cache_dirty_misses", func() float64 { return float64(cache.Stats().DirtyMisses) })
+		}
+		return b, nil
+	})
 }
 
-// collect frees the deferred-death list and charges the GC pause.
-func (s *twolmStepper) collect() {
-	if len(s.dead) == 0 {
+// reap frees the deferred-death list and charges the GC pause.
+func (b *twolmBackend) reap() {
+	if len(b.dead) == 0 {
 		return
 	}
-	for _, id := range s.dead {
-		s.heap.Free(s.addrs[id])
-		s.live[id] = false
+	for _, id := range b.dead {
+		b.heap.Free(b.addrs[id])
+		b.live[id] = false
 	}
-	pause := twolmPauseBase + float64(len(s.dead))*twolmPausePerObject
-	s.p.Clock.Advance(pause)
-	s.gcPauses += pause
-	s.res.GC.Collections++
-	s.res.GC.ObjectsFreed += int64(len(s.dead))
-	s.dead = s.dead[:0]
+	pause := twolmPauseBase + float64(len(b.dead))*twolmPausePerObject
+	b.p.Clock.Advance(pause)
+	b.gcPauses += pause
+	b.collections++
+	b.freed += int64(len(b.dead))
+	b.dead = b.dead[:0]
 }
 
-func (s *twolmStepper) allocate(id int) error {
-	a, err := s.heap.Alloc(s.model.Tensors[id].Bytes)
-	if err == alloc.ErrExhausted && len(s.dead) > 0 {
+func (b *twolmBackend) place(id int) error {
+	a, err := b.heap.Alloc(b.model.Tensors[id].Bytes)
+	if err == alloc.ErrExhausted && len(b.dead) > 0 {
 		// Memory pressure: run the collector and retry — the
 		// mid-iteration GC visible in Fig. 3's 2LM:Ø curve.
-		s.collect()
-		a, err = s.heap.Alloc(s.model.Tensors[id].Bytes)
+		b.reap()
+		a, err = b.heap.Alloc(b.model.Tensors[id].Bytes)
 	}
 	if err != nil {
-		return fmt.Errorf("engine: 2LM heap: allocating %s: %w", s.model.Tensors[id].Name, err)
+		return fmt.Errorf("2LM heap: %w", err)
 	}
-	s.addrs[id] = a
-	s.live[id] = true
+	b.addrs[id] = a
+	b.live[id] = true
 	return nil
 }
 
-func (s *twolmStepper) Done() bool { return s.done }
-
-func (s *twolmStepper) Step() (float64, error) {
-	if s.done {
-		return s.p.Clock.Now(), fmt.Errorf("engine: step after run completed")
-	}
-	if !s.inIter {
-		s.iterStart = s.p.Clock.Now()
-		s.fastBase, s.slowBase = s.p.Fast.Counters(), s.p.Slow.Counters()
-		s.cacheBase = s.cache.Stats()
-		s.gcBase = s.gcPauses
-		s.it = IterationMetrics{}
-		s.sampling = s.cfg.SampleHeap && s.iter == s.cfg.Iterations-1
-		if s.sampling {
-			s.res.HeapSamples = s.res.HeapSamples[:0]
-		}
-		s.inIter = true
-	}
-	if s.ki < len(s.model.Kernels) {
-		if err := s.kernelStep(); err != nil {
-			return s.p.Clock.Now(), err
-		}
-		s.ki++
-		return s.p.Clock.Now(), nil
-	}
-	if err := s.endIter(); err != nil {
-		return s.p.Clock.Now(), err
-	}
-	s.iter++
-	s.ki = 0
-	s.inIter = false
-	if s.iter >= s.cfg.Iterations {
-		s.done = true
-	}
-	return s.p.Clock.Now(), nil
-}
-
-func (s *twolmStepper) kernelStep() error {
-	p, model, ki := s.p, s.model, s.ki
+func (b *twolmBackend) kernel(ki int, _ float64, it *IterationMetrics) error {
+	p, model := b.p, b.model
 	k := &model.Kernels[ki]
-	for _, id := range s.sched.AllocBefore[ki] {
-		if err := s.allocate(id); err != nil {
-			return err
-		}
-	}
 	// The hardware cache services every access; there are
 	// no hints and no explicit movement. Kernel-internal
 	// re-reads (ReadFactor) hit the DRAM cache after the
@@ -205,7 +123,7 @@ func (s *twolmStepper) kernelStep() error {
 	var cost twolm.Cost
 	rf := k.EffectiveReadFactor()
 	for _, id := range k.Reads {
-		cost.Add(s.cache.Access(s.addrs[id], model.Tensors[id].Bytes, false))
+		cost.Add(b.cache.Access(b.addrs[id], model.Tensors[id].Bytes, false))
 		if !amplified(model.Tensors[id].Kind) {
 			continue
 		}
@@ -214,7 +132,7 @@ func (s *twolmStepper) kernelStep() error {
 		}
 	}
 	for _, id := range k.Writes {
-		cost.Add(s.cache.Access(s.addrs[id], model.Tensors[id].Bytes, true))
+		cost.Add(b.cache.Access(b.addrs[id], model.Tensors[id].Bytes, true))
 	}
 	kt := k.FLOPs/p.Compute.PeakFlops + p.Compute.LaunchOverhead
 	if cost.App > kt {
@@ -222,76 +140,50 @@ func (s *twolmStepper) kernelStep() error {
 	}
 	kt += cost.Stall()
 	p.Clock.Advance(kt)
-	s.it.ComputeTime += kt
-	s.rm.kernel(kt)
+	it.ComputeTime += kt
+	b.rm.kernel(kt)
 
-	for _, id := range s.sched.RetireAfter[ki] {
-		if s.memOpt {
+	for _, id := range b.sched.RetireAfter[ki] {
+		if b.memOpt {
 			// 2LM:M — free eagerly; the physical pages
 			// are recycled while their lines are still
 			// cache-resident.
-			s.heap.Free(s.addrs[id])
-			s.live[id] = false
+			b.heap.Free(b.addrs[id])
+			b.live[id] = false
 		} else {
-			s.dead = append(s.dead, id)
-		}
-	}
-	if s.heap.Used() > s.res.PeakHeap {
-		s.res.PeakHeap = s.heap.Used()
-	}
-	if s.sampling {
-		s.res.HeapSamples = append(s.res.HeapSamples,
-			HeapSample{Time: p.Clock.Now() - s.iterStart, Used: s.heap.Used()})
-	}
-	return nil
-}
-
-func (s *twolmStepper) endIter() error {
-	p, iter := s.p, s.iter
-	s.collect()
-	s.it.GCTime = s.gcPauses - s.gcBase
-	s.it.Time = p.Clock.Now() - s.iterStart
-	s.rm.iter(s.it.Time)
-	s.it.Fast = p.Fast.Counters().Sub(s.fastBase)
-	s.it.Slow = p.Slow.Counters().Sub(s.slowBase)
-	s.it.Cache = s.cache.Stats().Sub(s.cacheBase)
-	s.res.Iterations = append(s.res.Iterations, s.it)
-
-	if s.cfg.CheckInvariants {
-		if err := s.heap.CheckInvariants(); err != nil {
-			return fmt.Errorf("engine: 2LM heap after iter %d: %w", iter, err)
-		}
-		for id := range s.live {
-			if s.live[id] && !persistentTensor(s.sched, id) {
-				return fmt.Errorf("engine: 2LM leaked tensor %s after iter %d",
-					s.model.Tensors[id].Name, iter)
-			}
+			b.dead = append(b.dead, id)
 		}
 	}
 	return nil
 }
 
-func (s *twolmStepper) Finish() (*Result, error) {
-	if !s.done {
-		return nil, fmt.Errorf("engine: finish before run completed")
-	}
-	if s.finished {
-		return nil, fmt.Errorf("engine: double finish")
-	}
-	s.finished = true
-	s.res.Cache = twolm.Stats{}
-	finishMetrics(s.cfg.Metrics, s.model.Name, s.mode, s.p.Clock.Now())
-	s.release()
-	s.res.aggregate()
-	return s.res, nil
+func (b *twolmBackend) resident() int64 { return b.heap.Used() }
+
+func (b *twolmBackend) collect(it *IterationMetrics) {
+	b.reap()
+	it.GCTime = b.gcPauses - b.gcSeen
+	b.gcSeen = b.gcPauses
+	stats := b.cache.Stats()
+	it.Cache = stats.Sub(b.cacheSeen)
+	b.cacheSeen = stats
 }
 
-// persistentTensor reports whether id is in the schedule's persistent set.
-func persistentTensor(sched *trace.Schedule, id int) bool {
-	for _, p := range sched.Persistent {
-		if p == id {
-			return true
+func (b *twolmBackend) settle() error {
+	if !b.cfg.CheckInvariants {
+		return nil
+	}
+	if err := b.heap.CheckInvariants(); err != nil {
+		return fmt.Errorf("2LM heap: %w", err)
+	}
+	for id, live := range b.live {
+		if live && !b.persistent[id] {
+			return fmt.Errorf("2LM leaked tensor %s", b.model.Tensors[id].Name)
 		}
 	}
-	return false
+	return nil
+}
+
+func (b *twolmBackend) finish(res *Result) error {
+	res.GC.Collections, res.GC.ObjectsFreed = b.collections, b.freed
+	return nil
 }

@@ -374,35 +374,25 @@ func Cacheable(cfg engine.Config) bool {
 		!cfg.CheckEveryAdvance && !cfg.CheckInvariants && cfg.Metrics == nil
 }
 
+// modeAliases maps the accepted alternative spellings (upper-cased) to
+// canonical mode names.
+var modeAliases = map[string]string{
+	"2LM:O": "2LM:0", "CA:O": "CA:0", "CA:TGOG": "CA:OGTG",
+	"OS": "OS:page", "AUTOTM:PLAN": "AutoTM", "PLAN": "AutoTM",
+}
+
 // Normalize canonicalizes a user-facing mode spelling ("os", "2LM:O",
-// "plan") to the scheduler's canonical mode name.
+// "plan", any casing of an engine.Modes name) to the canonical mode name.
 func Normalize(mode string) (string, error) {
-	switch strings.ToUpper(mode) {
-	case "2LM:0", "2LM:O":
-		return "2LM:0", nil
-	case "2LM:M":
-		return "2LM:M", nil
-	case "CA:0", "CA:O":
-		return "CA:0", nil
-	case "CA:L":
-		return "CA:L", nil
-	case "CA:LM":
-		return "CA:LM", nil
-	case "CA:LMP":
-		return "CA:LMP", nil
-	case "CA:OG":
-		return "CA:OG", nil
-	case "CA:TG":
-		return "CA:TG", nil
-	case "CA:OGTG", "CA:TGOG":
-		return "CA:OGTG", nil
-	case "OS:PAGE", "OS":
-		return "OS:page", nil
-	case "AUTOTM", "AUTOTM:PLAN", "PLAN":
-		return "AutoTM", nil
-	default:
-		return "", fmt.Errorf("sched: unknown mode %q (2LM:0, 2LM:M, CA:0, CA:L, CA:LM, CA:LMP, CA:OG, CA:TG, CA:OGTG, OS:page, AutoTM)", mode)
+	if canon, ok := modeAliases[strings.ToUpper(mode)]; ok {
+		return canon, nil
 	}
+	for _, canon := range engine.Modes {
+		if strings.EqualFold(canon, mode) {
+			return canon, nil
+		}
+	}
+	return "", fmt.Errorf("sched: unknown mode %q (%s)", mode, strings.Join(engine.Modes, ", "))
 }
 
 // RunMode is the single authoritative mode dispatcher: it builds the

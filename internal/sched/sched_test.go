@@ -380,6 +380,10 @@ func TestNormalizeAliases(t *testing.T) {
 		"ca:lm": "CA:LM", "CA:LMP": "CA:LMP",
 		"os": "OS:page", "OS:PAGE": "OS:page",
 		"AutoTM": "AutoTM", "plan": "AutoTM", "autotm:plan": "AutoTM",
+		"ca:tgog": "CA:OGTG",
+	}
+	for _, canon := range engine.Modes {
+		want[canon] = canon
 	}
 	for in, out := range want {
 		got, err := Normalize(in)
