@@ -43,6 +43,9 @@ func main() {
 	)
 	shared := runcfg.Register(flag.CommandLine)
 	flag.Parse()
+	if *jobs < 0 {
+		fatal(fmt.Errorf("-jobs must not be negative (got %d)", *jobs))
+	}
 
 	sess, err := shared.Start(*platforms > 1, os.Stdout)
 	fatal(err)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"cachedarrays/internal/experiments"
@@ -23,9 +24,34 @@ import (
 	"cachedarrays/internal/runcfg"
 )
 
+// figures names everything -only accepts, in emission order: the help
+// text, the default set and the unknown-name check all read this list.
+var figures = []string{"table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig7async",
+	"baselines", "beyond", "ablations", "cxl", "copybw", "dlrm"}
+
+// selectFigures resolves the -only value (a comma list, empty = all)
+// into the set of figures to emit.
+func selectFigures(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		for _, k := range figures {
+			want[k] = true
+		}
+		return want, nil
+	}
+	for _, k := range strings.Split(only, ",") {
+		k = strings.TrimSpace(strings.ToLower(k))
+		if !slices.Contains(figures, k) {
+			return nil, fmt.Errorf("-only: unknown figure %q (valid: %s)", k, strings.Join(figures, ","))
+		}
+		want[k] = true
+	}
+	return want, nil
+}
+
 func main() {
 	var (
-		only    = flag.String("only", "", "comma list of: table3,fig2,fig3,fig4,fig5,fig6,fig7,fig7async,baselines,beyond,ablations,cxl,copybw,dlrm (default all)")
+		only    = flag.String("only", "", "comma list of: "+strings.Join(figures, ",")+" (default all)")
 		iters   = flag.Int("iters", 4, "training iterations per run")
 		scale   = flag.Int("scale", 1, "divide batch sizes by this factor (quick looks)")
 		outdir  = flag.String("outdir", "", "write CSV files here instead of printing text")
@@ -34,6 +60,8 @@ func main() {
 	)
 	shared := runcfg.Register(flag.CommandLine)
 	flag.Parse()
+	want, err := selectFigures(*only)
+	fatal(err)
 
 	stopProf, err := profiling.Start(*cpuprof, *memprof)
 	fatal(err)
@@ -43,16 +71,6 @@ func main() {
 	fatal(err)
 	defer sess.Close()
 
-	want := map[string]bool{}
-	if *only == "" {
-		for _, k := range []string{"table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig7async", "baselines", "beyond", "ablations", "cxl", "copybw", "dlrm"} {
-			want[k] = true
-		}
-	} else {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(k))] = true
-		}
-	}
 	// One scheduler serves every figure: worker bound and result cache
 	// are shared, so a cell two figures both need (e.g. baselines' CA:LM
 	// column and the matrix's) simulates once. Progress goes to stderr.

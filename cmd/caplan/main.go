@@ -87,6 +87,9 @@ func main() {
 }
 
 func buildModel(name string, batch int) (*models.Model, error) {
+	if batch < 1 {
+		return nil, fmt.Errorf("-batch must be at least 1 (got %d)", batch)
+	}
 	switch strings.ToLower(name) {
 	case "densenet264":
 		return models.DenseNet(264, batch), nil

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"cachedarrays/internal/engine"
+	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/profiling"
 	"cachedarrays/internal/runcfg"
@@ -28,6 +29,9 @@ import (
 )
 
 func buildModel(name string, batch int) (*models.Model, error) {
+	if batch < 1 {
+		return nil, fmt.Errorf("-batch must be at least 1 (got %d)", batch)
+	}
 	switch strings.ToLower(name) {
 	case "densenet264":
 		return models.DenseNet(264, batch), nil
@@ -172,7 +176,8 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	defer sess.Close()
-	done := sess.Apply(runcfg.Name(model.Name, *mode), &cfg)
+	name := metrics.SafeName(model.Name, *mode)
+	done := sess.Apply(name, &cfg)
 
 	fmt.Fprintf(stdout, "model       : %s (batch %d)\n", model.Name, model.BatchSize)
 	fmt.Fprintf(stdout, "footprint   : %s peak live (weights %s)\n",
@@ -184,7 +189,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	// serve it from a previous process's results (instrumented runs
 	// bypass the cache and always simulate).
 	results, err := sess.Scheduler(nil).Run([]sched.Cell{{
-		Name: runcfg.Name(model.Name, *mode), Model: model, Mode: *mode, Cfg: cfg, Done: done,
+		Name: name, Model: model, Mode: *mode, Cfg: cfg, Done: done,
 	}})
 	if err != nil {
 		return fail(err)

@@ -90,6 +90,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad model", []string{"-model", "alexnet"}, 1, "unknown model"},
 		{"bad mode", []string{"-mode", "NUMA"}, 1, "unknown mode"},
 		{"bad dram", []string{"-dram", "lots"}, 1, ""},
+		{"negative dram", []string{"-dram", "-1GB"}, 1, "negative"},
+		{"zero batch", []string{"-batch", "0"}, 1, "-batch must be at least 1"},
 		{"negative metrics interval", []string{"-metrics", "x.csv", "-metrics-interval", "-1"}, 1, "metrics-interval"},
 		{"faults on 2LM", []string{"-mode", "2LM:M", "-faults", "seed=1;allocfail:fast:t0=0,t1=100,p=1", "-check"}, 1, "mode 2LM:M injects no faults"},
 		{"faults on OS:page", []string{"-mode", "os", "-faults", "seed=1;allocfail:fast:t0=0,p=1"}, 1, "mode OS:page injects no faults"},
@@ -110,6 +112,9 @@ func TestCLIExitCodes(t *testing.T) {
 			}
 			if tc.err != "" && !strings.Contains(stderr.String(), tc.err) {
 				t.Errorf("stderr %q missing %q", stderr.String(), tc.err)
+			}
+			if tc.code == 1 && strings.Count(stderr.String(), "\n") != 1 {
+				t.Errorf("run error is not one line:\n%s", stderr.String())
 			}
 		})
 	}

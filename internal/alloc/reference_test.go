@@ -6,9 +6,8 @@ import "fmt"
 // equivalence baseline: Alloc scans the address-ordered block list from
 // head on every call (O(blocks)), and LargestFree rescans it. The
 // property tests drive Reference and FreeList with identical traces and
-// require identical offsets and statistics; the hot-path benchmarks
-// measure the indexed allocator's speedup against it. It is not used by
-// the simulator itself.
+// require identical offsets and statistics. It lives in a _test.go file
+// so the non-test build holds one allocator implementation.
 type Reference struct {
 	capacity int64
 	align    int64

@@ -27,7 +27,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"cachedarrays/internal/alloc"
 	"cachedarrays/internal/engine"
@@ -103,7 +102,7 @@ type Config struct {
 type Tenant struct {
 	Name string
 	// Label is the sanitized form of Name (lowercase, [a-z0-9.-], see
-	// runcfg.Name): the tenant's identity in metric series names
+	// metrics.SafeName): the tenant's identity in metric series names
 	// (cluster_<label>_*), Prometheus tenant="..." labels and trace
 	// lanes. Unique across the cluster.
 	Label   string
@@ -224,19 +223,6 @@ func Run(cfg Config) (*Result, error) {
 	return simulate(cfg, tenants, ecfg)
 }
 
-// RunScanReference executes the cluster with the pre-heap O(N)
-// linear-scan dispatcher kept as the executable reference (the
-// alloc.Reference pattern). It always simulates — no cache, no single
-// flight — so differential tests and the BENCH_cluster heap-vs-scan
-// series compare two fresh simulations.
-func RunScanReference(cfg Config) (*Result, error) {
-	tenants, ecfg, err := prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return simulateQueued(cfg, tenants, ecfg, newScanQueue(tenants))
-}
-
 // simulate is the uncached execution path: one fresh simulation through
 // the production heap dispatcher.
 func simulate(cfg Config, tenants []*tenant, ecfg engine.Config) (*Result, error) {
@@ -323,24 +309,6 @@ func clusterTotals(res *Result, tenants []*tenant, fc, sc memsim.Counters, fastD
 	return c
 }
 
-// sanitizeLabel folds a tenant name to its label form — lowercase, with
-// anything outside [a-z0-9.-] folded to '_' — mirroring runcfg.Name so a
-// tenant's metric series names, Prometheus labels, trace lanes and
-// output-file suffixes all agree. Commas and spaces in particular would
-// corrupt Prometheus label strings and wide-CSV headers.
-func sanitizeLabel(name string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-', r == '.':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
 // prepare validates the config and resolves every job's model, mode and
 // per-tenant config before any simulation state exists.
 func prepare(cfg Config) ([]*tenant, engine.Config, error) {
@@ -380,7 +348,7 @@ func prepare(cfg Config) ([]*tenant, engine.Config, error) {
 				"cluster: job %d (%s): fault injection requires a dedicated platform (one injector slot per device); run the faulted job solo",
 				i, name)
 		}
-		label := sanitizeLabel(name)
+		label := metrics.SafeName(name)
 		if prev, ok := labels[label]; ok {
 			return nil, ecfg, fmt.Errorf(
 				"cluster: job %d (%s) and job %d (%s) collide on tenant label %q; give the jobs distinct names",

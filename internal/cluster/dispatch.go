@@ -3,21 +3,18 @@ package cluster
 import "container/heap"
 
 // The dispatch loop's job is to repeatedly select the unfinished tenant
-// with the lexicographically smallest (next, jobIndex) key. Two
-// implementations exist behind the dispatchQueue interface:
+// with the lexicographically smallest (next, jobIndex) key. tenantHeap
+// is the one production implementation: a container/heap priority
+// queue, O(log N) per selection, pre-sized so the dispatch hot path
+// performs zero allocations (pinned by TestDispatchQueueZeroAllocs).
 //
-//   - tenantHeap, the production dispatcher: a container/heap priority
-//     queue, O(log N) per selection, pre-sized so the dispatch hot path
-//     performs zero allocations (pinned by TestDispatchQueueZeroAllocs).
-//   - scanQueue, the pre-heap O(N) linear scan kept verbatim as the
-//     executable reference (the alloc.Reference pattern): the
-//     differential and fuzz tests prove the heap reproduces its
-//     selection order — and therefore its results — byte for byte.
-//
-// Both break timestamp ties by job index: the scan visits tenants in
-// index order and only a strictly smaller timestamp displaces the
-// incumbent, which is exactly the lexicographic (next, idx) minimum the
-// heap orders by.
+// dispatchQueue is the seam the tests substitute through: dispatch_test.go
+// keeps the pre-heap O(N) linear scan as the executable reference, and
+// the differential and fuzz tests prove the heap reproduces its
+// selection order — and therefore its results — byte for byte. The scan
+// visits tenants in index order and only a strictly smaller timestamp
+// displaces the incumbent, which is exactly the lexicographic
+// (next, idx) minimum the heap orders by.
 type dispatchQueue interface {
 	// peek returns the tenant with the smallest (next, idx), or nil when
 	// every tenant has finished.
@@ -78,41 +75,3 @@ func (h *tenantHeap) peek() *tenant {
 func (h *tenantHeap) bumped() { heap.Fix(h, 0) }
 
 func (h *tenantHeap) remove() { heap.Pop(h) }
-
-// scanQueue is the pre-heap dispatcher kept as the reference
-// implementation: an O(N) scan over all tenants in index order, strictly
-// smaller timestamps displacing the incumbent. Used by RunScanReference
-// (differential tests, the BENCH_cluster heap-vs-scan series); never on
-// the production path.
-type scanQueue struct {
-	ts []*tenant
-}
-
-func newScanQueue(tenants []*tenant) *scanQueue {
-	q := &scanQueue{ts: make([]*tenant, len(tenants))}
-	copy(q.ts, tenants)
-	return q
-}
-
-func (q *scanQueue) peek() *tenant {
-	best := -1
-	for i, t := range q.ts {
-		if t.finished {
-			continue
-		}
-		if best < 0 || t.next < q.ts[best].next {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return q.ts[best]
-}
-
-// bumped is a no-op: the scan recomputes the minimum from scratch on
-// every peek.
-func (q *scanQueue) bumped() {}
-
-// remove is a no-op: the scan skips finished tenants.
-func (q *scanQueue) remove() {}

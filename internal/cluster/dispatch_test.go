@@ -9,6 +9,56 @@ import (
 	"cachedarrays/internal/units"
 )
 
+// scanQueue is the pre-heap dispatcher kept as the reference
+// implementation: an O(N) scan over all tenants in index order, strictly
+// smaller timestamps displacing the incumbent. Used by RunScanReference
+// and the queue-level differential tests; it lives in a _test.go file so
+// the non-test build holds one dispatcher.
+type scanQueue struct {
+	ts []*tenant
+}
+
+func newScanQueue(tenants []*tenant) *scanQueue {
+	q := &scanQueue{ts: make([]*tenant, len(tenants))}
+	copy(q.ts, tenants)
+	return q
+}
+
+func (q *scanQueue) peek() *tenant {
+	best := -1
+	for i, t := range q.ts {
+		if t.finished {
+			continue
+		}
+		if best < 0 || t.next < q.ts[best].next {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	return q.ts[best]
+}
+
+// bumped is a no-op: the scan recomputes the minimum from scratch on
+// every peek.
+func (q *scanQueue) bumped() {}
+
+// remove is a no-op: the scan skips finished tenants.
+func (q *scanQueue) remove() {}
+
+// RunScanReference executes the cluster with the pre-heap O(N)
+// linear-scan dispatcher kept as the executable reference. It always
+// simulates — no cache, no single flight — so the differential tests
+// compare two fresh simulations.
+func RunScanReference(cfg Config) (*Result, error) {
+	tenants, ecfg, err := prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return simulateQueued(cfg, tenants, ecfg, newScanQueue(tenants))
+}
+
 // TestHeapMatchesScanReference is the tentpole's differential proof at
 // the system level: the production heap dispatcher and the pre-heap
 // linear-scan reference produce reflect.DeepEqual-identical cluster
@@ -21,12 +71,21 @@ func TestHeapMatchesScanReference(t *testing.T) {
 		SlowCapacity: 1 * units.GB,
 		Iterations:   2,
 	}
+	// The fleet case checks heap == scan identity at fleet size: the
+	// benchmark's 128-tenant mix on a deliberately tight fast tier, so
+	// tenants genuinely contend and timestamp ties abound.
+	fleet := engine.Config{
+		FastCapacity: 16 * units.MB,
+		SlowCapacity: 2 * units.GB,
+		Iterations:   24,
+	}
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
 		{"contended-mix", Config{Engine: tight, Jobs: Mix(3, 5)}},
 		{"bench-mix", Config{Engine: small, Jobs: BenchMix(7, 16)}},
+		{"bench-mix-fleet", Config{Engine: fleet, Jobs: BenchMix(42, 128)}},
 		{"all-ties", Config{Engine: small, Jobs: []Job{
 			{Name: "a", Model: movementHeavy(), Mode: "CA:LM"},
 			{Name: "b", Model: movementHeavy(), Mode: "2LM:M"},

@@ -45,11 +45,12 @@ func Mix(seed int64, n int) []Job {
 
 // BenchMix generates the fleet-scale benchmark's job mix: n deliberately
 // tiny MLP jobs (one short hidden layer, small batches) whose individual
-// simulations are cheap enough that dispatch overhead — the thing
-// BENCH_cluster measures — is a visible fraction of the run at N=128
-// tenants. Sizes, modes and arrivals are drawn from the seeded source
-// exactly like Mix; arrival offsets cluster in a narrow window so
-// timestamp ties and near-ties (the heap's worst case) are common.
+// simulations are cheap enough that dispatch overhead — what the
+// cluster_fleet workload of go run ./bench measures — is a visible
+// fraction of the run at N=128 tenants. Sizes, modes and arrivals are
+// drawn from the seeded source exactly like Mix; arrival offsets cluster
+// in a narrow window so timestamp ties and near-ties (the heap's worst
+// case) are common.
 // Deterministic per seed.
 func BenchMix(seed int64, n int) []Job {
 	rng := rand.New(rand.NewSource(seed))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cachedarrays/internal/engine"
+	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/sched"
 )
@@ -47,7 +48,7 @@ func Ablations(opts Options) (*Table, error) {
 		cfg := opts.config()
 		v.mut(&cfg)
 		cells = append(cells, sched.Cell{
-			Name:  runName("ablations", v.name),
+			Name:  metrics.SafeName("ablations", v.name),
 			Build: lazyModel(pm, opts.Scale), Mode: v.mode, Cfg: cfg})
 	}
 	results, err := opts.runCells(cells)

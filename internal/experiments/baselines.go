@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"cachedarrays/internal/engine"
+	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/sched"
 )
@@ -46,7 +47,7 @@ func Baselines(opts Options) (*Table, error) {
 	for _, pm := range models.PaperLargeModels() {
 		for _, v := range variants {
 			cells = append(cells, sched.Cell{
-				Name:  runName("baselines", pm.Name, v.label),
+				Name:  metrics.SafeName("baselines", pm.Name, v.label),
 				Build: lazyModel(pm, opts.Scale), Mode: v.mode, Cfg: v.cfg})
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"cachedarrays/internal/engine"
+	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/sched"
 	"cachedarrays/internal/twolm"
@@ -60,7 +61,7 @@ func BeyondCNNs(opts Options) (*Table, error) {
 		build := rw.build
 		for _, mode := range ModeNames {
 			cells = append(cells, sched.Cell{
-				Name:  runName("beyond", rw.name, mode),
+				Name:  metrics.SafeName("beyond", rw.name, mode),
 				Build: func() (*models.Model, error) { return build(), nil },
 				Mode:  mode, Cfg: rw.cfg})
 		}

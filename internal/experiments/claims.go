@@ -136,7 +136,7 @@ func CheckClaims(opts Options) ([]Claim, error) {
 
 	// --- Fig. 3 ---
 	{
-		resnet := buildModel(models.PaperLargeModels()[1], opts.Scale)
+		resnet := models.PaperLargeModels()[1].BuildScaled(opts.Scale)
 		hcfg := engine.Config{Iterations: opts.Iterations, SampleHeap: true}
 		h0, err := engine.Run2LM(resnet, false, hcfg)
 		if err != nil {
@@ -154,7 +154,7 @@ func CheckClaims(opts Options) ([]Claim, error) {
 
 	// --- Fig. 7 ---
 	{
-		dense := buildModel(models.PaperSmallModels()[0], opts.Scale)
+		dense := models.PaperSmallModels()[0].BuildScaled(opts.Scale)
 		full, err := engine.RunCA(dense, policy.CALM, engine.Config{Iterations: opts.Iterations})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/sched"
 )
@@ -28,7 +29,7 @@ func CXLPortability(opts Options) (*Table, error) {
 	for _, pm := range models.PaperLargeModels() {
 		for _, mode := range modes {
 			cells = append(cells, sched.Cell{
-				Name:  runName("cxl", pm.Name, mode),
+				Name:  metrics.SafeName("cxl", pm.Name, mode),
 				Build: lazyModel(pm, opts.Scale), Mode: mode, Cfg: cfg})
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cachedarrays/internal/engine"
+	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/sched"
 	"cachedarrays/internal/units"
@@ -71,10 +72,10 @@ func Fig3(opts Options, maxPoints int) (*Table, error) {
 	pm := models.PaperLargeModels()[1] // ResNet 200
 	cfg := opts.config()
 	cfg.SampleHeap = true
-	name := buildModel(pm, opts.Scale).Name
+	name := pm.BuildScaled(opts.Scale).Name
 	results, err := opts.runCells([]sched.Cell{
-		{Name: runName("fig3", name, "2lm0"), Build: lazyModel(pm, opts.Scale), Mode: "2LM:0", Cfg: cfg},
-		{Name: runName("fig3", name, "2lmM"), Build: lazyModel(pm, opts.Scale), Mode: "2LM:M", Cfg: cfg},
+		{Name: metrics.SafeName("fig3", name, "2lm0"), Build: lazyModel(pm, opts.Scale), Mode: "2LM:0", Cfg: cfg},
+		{Name: metrics.SafeName("fig3", name, "2lmM"), Build: lazyModel(pm, opts.Scale), Mode: "2LM:M", Cfg: cfg},
 	})
 	if err != nil {
 		return nil, err
@@ -202,9 +203,9 @@ func Fig7Async(opts Options, budgets []int64) (*Table, error) {
 			acfg := cfg
 			acfg.AsyncMovement = true
 			cells = append(cells,
-				sched.Cell{Name: runName("fig7async", pm.Name, fmt.Sprint(b), "sync"),
+				sched.Cell{Name: metrics.SafeName("fig7async", pm.Name, fmt.Sprint(b), "sync"),
 					Build: lazyModel(pm, opts.Scale), Mode: "CA:LM", Cfg: cfg},
-				sched.Cell{Name: runName("fig7async", pm.Name, fmt.Sprint(b), "async"),
+				sched.Cell{Name: metrics.SafeName("fig7async", pm.Name, fmt.Sprint(b), "async"),
 					Build: lazyModel(pm, opts.Scale), Mode: "CA:LM", Cfg: acfg})
 		}
 	}
@@ -252,7 +253,7 @@ func Fig7(opts Options, budgets []int64) (*Table, error) {
 			cfg := opts.config()
 			cfg.FastCapacity = b
 			cells = append(cells, sched.Cell{
-				Name:  runName("fig7", pm.Name, fmt.Sprint(b)),
+				Name:  metrics.SafeName("fig7", pm.Name, fmt.Sprint(b)),
 				Build: lazyModel(pm, opts.Scale), Mode: "CA:LM", Cfg: cfg})
 		}
 	}

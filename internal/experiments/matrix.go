@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"cachedarrays/internal/engine"
+	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/sched"
 )
@@ -98,30 +98,7 @@ type Matrix struct {
 // running serially in the collect loop. Each invocation builds a private
 // instance, so concurrent cells never share a model.
 func lazyModel(pm models.PaperModel, scale int) func() (*models.Model, error) {
-	return func() (*models.Model, error) { return buildModel(pm, scale), nil }
-}
-
-// buildModel constructs a paper model at the option scale.
-func buildModel(pm models.PaperModel, scale int) *models.Model {
-	if scale <= 1 {
-		return pm.Build()
-	}
-	batch := pm.BatchSize / scale
-	if batch < 1 {
-		batch = 1
-	}
-	switch pm.Name {
-	case "DenseNet 264":
-		return models.DenseNet(264, batch)
-	case "ResNet 200":
-		return models.ResNet(200, batch)
-	case "VGG 416":
-		return models.VGG(416, batch)
-	case "VGG 116":
-		return models.VGG(116, batch)
-	default:
-		panic(fmt.Sprintf("experiments: unknown paper model %q", pm.Name))
-	}
+	return func() (*models.Model, error) { return pm.BuildScaled(scale), nil }
 }
 
 // config returns the options' base engine config with iterations set —
@@ -130,26 +107,6 @@ func (o Options) config() engine.Config {
 	cfg := o.Engine
 	cfg.Iterations = o.Iterations
 	return cfg
-}
-
-// runName builds a filesystem- and label-safe run name from parts:
-// lowered, with anything outside [a-z0-9.-] folded to '_', joined by '-'.
-func runName(parts ...string) string {
-	var b strings.Builder
-	for i, p := range parts {
-		if i > 0 {
-			b.WriteByte('-')
-		}
-		for _, r := range strings.ToLower(p) {
-			switch {
-			case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-', r == '.':
-				b.WriteRune(r)
-			default:
-				b.WriteByte('_')
-			}
-		}
-	}
-	return b.String()
 }
 
 // RunMatrix executes every large network under every operating mode on
@@ -171,7 +128,7 @@ func RunMatrix(opts Options) (*Matrix, error) {
 		mat.Models = append(mat.Models, pm.Name)
 		for _, mode := range ModeNames {
 			cells = append(cells, sched.Cell{
-				Name:  runName("matrix", pm.Name, mode),
+				Name:  metrics.SafeName("matrix", pm.Name, mode),
 				Build: lazyModel(pm, opts.Scale),
 				Mode:  mode,
 				Cfg:   cfg,

@@ -334,3 +334,19 @@ func TestHubServesTenantLabels(t *testing.T) {
 		t.Errorf("labels doubled:\n%s", body)
 	}
 }
+
+func TestNameSanitization(t *testing.T) {
+	tests := []struct {
+		parts []string
+		want  string
+	}{
+		{[]string{"ResNet 200", "CA:LM"}, "resnet_200-ca_lm"},
+		{[]string{"fig7", "VGG 116", "32212254720"}, "fig7-vgg_116-32212254720"},
+		{[]string{"a.b-c"}, "a.b-c"},
+	}
+	for _, tc := range tests {
+		if got := SafeName(tc.parts...); got != tc.want {
+			t.Errorf("SafeName(%v) = %q, want %q", tc.parts, got, tc.want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -73,6 +74,30 @@ func (r *Registry) WritePrometheus(w io.Writer, labels string) {
 			fmt.Fprintf(w, "ca_%s_bucket{%sge=%q} %d\n", h.name, inner, k, s.Buckets[k])
 		}
 	}
+}
+
+// SafeName builds a run name or tenant label from parts: lowered, with
+// anything outside [a-z0-9.-] folded to '_', joined by '-'. The result is
+// safe as a hub key, a Prometheus label value, a wide-CSV header, a trace
+// lane and an output-file suffix (commas and spaces in particular would
+// corrupt the label strings and CSV headers), so every package that names
+// a run or a tenant uses this one alphabet and the names agree.
+func SafeName(parts ...string) string {
+	var b strings.Builder
+	for i, p := range parts {
+		if i > 0 {
+			b.WriteByte('-')
+		}
+		for _, r := range strings.ToLower(p) {
+			switch {
+			case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-', r == '.':
+				b.WriteRune(r)
+			default:
+				b.WriteByte('_')
+			}
+		}
+	}
+	return b.String()
 }
 
 // Hub serves one or more runs' registries over HTTP: /metrics in

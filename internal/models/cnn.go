@@ -169,6 +169,28 @@ type PaperModel struct {
 	Build     func() *Model
 }
 
+// BuildScaled builds the configuration with its batch size divided by
+// scale (minimum 1) — the quick-look scaling the experiment and
+// tournament drivers share. A scale of 0 or 1 is the paper's own Build.
+func (pm PaperModel) BuildScaled(scale int) *Model {
+	if scale <= 1 {
+		return pm.Build()
+	}
+	batch := max(pm.BatchSize/scale, 1)
+	switch pm.Name {
+	case "DenseNet 264":
+		return DenseNet(264, batch)
+	case "ResNet 200":
+		return ResNet(200, batch)
+	case "VGG 416":
+		return VGG(416, batch)
+	case "VGG 116":
+		return VGG(116, batch)
+	default:
+		panic(fmt.Sprintf("models: unknown paper model %q", pm.Name))
+	}
+}
+
 // PaperLargeModels returns the three large-network configurations of
 // Table III (footprints far exceeding the 180 GB DRAM budget).
 func PaperLargeModels() []PaperModel {

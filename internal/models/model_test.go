@@ -132,6 +132,23 @@ func TestAllPaperModelsValidate(t *testing.T) {
 	}
 }
 
+// TestBuildScaled pins the quick-look scaling every driver shares: the
+// batch is divided by scale and clamped at 1, the network is unchanged,
+// and a scale of 0 or 1 is the paper's own configuration.
+func TestBuildScaled(t *testing.T) {
+	for _, pm := range append(PaperLargeModels(), PaperSmallModels()...) {
+		for _, tc := range []struct{ scale, batch int }{
+			{0, pm.BatchSize}, {1, pm.BatchSize}, {8, pm.BatchSize / 8}, {1 << 20, 1},
+		} {
+			m := pm.BuildScaled(tc.scale)
+			if m.BatchSize != tc.batch || m.Name != pm.Build().Name {
+				t.Errorf("%s scale %d: got %s batch %d, want %s batch %d",
+					pm.Name, tc.scale, m.Name, m.BatchSize, pm.Build().Name, tc.batch)
+			}
+		}
+	}
+}
+
 func TestTableIIIFootprintBands(t *testing.T) {
 	// Reproduction of Table III's constraints: every large network's
 	// footprint must greatly exceed the 180 GB DRAM budget (paper: ~520

@@ -66,26 +66,6 @@ func (f *Flags) metricsWanted() bool {
 	return f.Metrics != "" || f.MetricsSummary != "" || f.Listen != ""
 }
 
-// Name builds a filesystem- and label-safe run name from parts: lowered,
-// with anything outside [a-z0-9.-] folded to '_', joined by '-'.
-func Name(parts ...string) string {
-	var b strings.Builder
-	for i, p := range parts {
-		if i > 0 {
-			b.WriteByte('-')
-		}
-		for _, r := range strings.ToLower(p) {
-			switch {
-			case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-', r == '.':
-				b.WriteRune(r)
-			default:
-				b.WriteByte('_')
-			}
-		}
-	}
-	return b.String()
-}
-
 // Session is a command's instrumentation state: the metrics hub behind
 // the live endpoint plus the output-writing discipline. One Session
 // serves all of a command's runs.

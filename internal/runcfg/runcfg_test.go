@@ -19,22 +19,6 @@ import (
 	"cachedarrays/internal/units"
 )
 
-func TestNameSanitization(t *testing.T) {
-	tests := []struct {
-		parts []string
-		want  string
-	}{
-		{[]string{"ResNet 200", "CA:LM"}, "resnet_200-ca_lm"},
-		{[]string{"fig7", "VGG 116", "32212254720"}, "fig7-vgg_116-32212254720"},
-		{[]string{"a.b-c"}, "a.b-c"},
-	}
-	for _, tc := range tests {
-		if got := Name(tc.parts...); got != tc.want {
-			t.Errorf("Name(%v) = %q, want %q", tc.parts, got, tc.want)
-		}
-	}
-}
-
 func parseFlags(t *testing.T, args ...string) *Flags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)

@@ -260,9 +260,10 @@ func warnKeyError(err error) {
 }
 
 // runCell executes one cell: model resolution (lazy Build runs here, on
-// the worker), cache lookup, single-flighted simulation on miss, store,
-// then the cell's Done callback. The second return reports whether the
-// result arrived without this cell simulating (a cache or dedup hit).
+// the worker), the cached path through Memo for a keyed cell or a plain
+// simulation otherwise, then the cell's Done callback. The second return
+// reports whether the result arrived without this cell simulating (a
+// cache or dedup hit).
 func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 	m, err := c.model()
 	if err != nil {
@@ -279,33 +280,13 @@ func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 	var r *engine.Result
 	hit := false
 	if key != "" {
-		// Single flight: concurrent identical cells elect one leader,
-		// which checks the cache and simulates+stores on a miss; the
-		// rest share its pointer. The lookup lives inside the flight so
-		// a key is probed exactly once per settled result.
-		var simulated bool
-		res, shared, err := s.flight.Do(key, func() (any, error) {
-			if r, ok := s.Cache.Get(key); ok {
-				return r, nil
-			}
-			simulated = true
-			s.sims.Add(1)
-			r, err := RunMode(m, c.Mode, c.Cfg)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.Cache.Put(key, r); err != nil {
-				return nil, err
-			}
-			return r, nil
+		v, h, err := s.Memo(key, decodeEngineResult, func() (any, error) {
+			return RunMode(m, c.Mode, c.Cfg)
 		})
 		if err != nil {
 			return nil, false, err
 		}
-		if shared {
-			s.dedups.Add(1)
-		}
-		r, hit = res.(*engine.Result), !simulated
+		r, hit = v.(*engine.Result), h
 	} else {
 		s.sims.Add(1)
 		if r, err = RunMode(m, c.Mode, c.Cfg); err != nil {
@@ -321,16 +302,16 @@ func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 }
 
 // Memo single-flights and memoizes an arbitrary keyed computation
-// through the scheduler's flight group and result cache — the extension
-// point that lets whole cluster runs share the machinery engine cells
-// use. The contract mirrors runCell: concurrent callers with the same
-// key elect one leader; the leader consults the cache (decode rebuilds a
-// value from a verified disk entry) and computes+stores on a miss; every
-// caller shares the settled pointer, so results must be treated as
-// read-only. The computation must be deterministic and its value
-// JSON-round-trippable — the same obligations the simulation's
-// byte-identity tests prove for engine results. The second return
-// reports whether the value arrived without this caller computing (a
+// through the scheduler's flight group and result cache — the one cached
+// path, shared by engine cells (runCell) and whole cluster runs.
+// Concurrent callers with the same key elect one leader; the leader
+// consults the cache (decode rebuilds a value from a verified disk entry)
+// and computes+stores on a miss, so a key is probed exactly once per
+// settled result; every caller shares the settled pointer, so results
+// must be treated as read-only. The computation must be deterministic
+// and its value JSON-round-trippable — the same obligations the
+// simulation's byte-identity tests prove for engine results. The second
+// return reports whether the value arrived without this caller computing (a
 // cache or dedup hit).
 //
 // Keys must be content hashes whose preimage starts with a

@@ -21,6 +21,7 @@ import (
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/experiments"
 	"cachedarrays/internal/memsim"
+	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/policy"
 	"cachedarrays/internal/sched"
@@ -77,30 +78,6 @@ func DefaultModes() []string {
 	return append(m, engine.AdaptiveModes...)
 }
 
-// scaledModel builds a paper model with its batch divided by scale
-// (minimum 1), mirroring the experiments package's quick-look scaling.
-func scaledModel(pm models.PaperModel, scale int) *models.Model {
-	if scale <= 1 {
-		return pm.Build()
-	}
-	batch := pm.BatchSize / scale
-	if batch < 1 {
-		batch = 1
-	}
-	switch pm.Name {
-	case "DenseNet 264":
-		return models.DenseNet(264, batch)
-	case "ResNet 200":
-		return models.ResNet(200, batch)
-	case "VGG 416":
-		return models.VGG(416, batch)
-	case "VGG 116":
-		return models.VGG(116, batch)
-	default:
-		panic(fmt.Sprintf("tourney: unknown paper model %q", pm.Name))
-	}
-}
-
 // DefaultWorkloads returns the seven standard tournament workloads: the
 // three large networks at paper capacity (the Fig. 2 setting), the three
 // small networks under a tight DRAM budget derived from each model's
@@ -115,24 +92,24 @@ func DefaultWorkloads(scale int) []Workload {
 	var ws []Workload
 	for _, pm := range models.PaperLargeModels() {
 		ws = append(ws, Workload{
-			Name:  runName(pm.Name, "large"),
-			Build: func() (*models.Model, error) { return scaledModel(pm, scale), nil },
+			Name:  metrics.SafeName(pm.Name, "large"),
+			Build: func() (*models.Model, error) { return pm.BuildScaled(scale), nil },
 		})
 	}
 	for _, pm := range models.PaperSmallModels() {
 		// Tight DRAM: a quarter of the model's own peak footprint, so
 		// even the "fits in DRAM" networks are forced to tier.
-		foot := scaledModel(pm, scale).PeakFootprint()
+		foot := pm.BuildScaled(scale).PeakFootprint()
 		ws = append(ws, Workload{
-			Name:  runName(pm.Name, "tight"),
-			Build: func() (*models.Model, error) { return scaledModel(pm, scale), nil },
+			Name:  metrics.SafeName(pm.Name, "tight"),
+			Build: func() (*models.Model, error) { return pm.BuildScaled(scale), nil },
 			Cfg:   engine.Config{FastCapacity: tightCapacity(foot)},
 		})
 	}
 	cxl := models.PaperLargeModels()[1] // ResNet 200
 	ws = append(ws, Workload{
-		Name:  runName(cxl.Name, "cxl"),
-		Build: func() (*models.Model, error) { return scaledModel(cxl, scale), nil },
+		Name:  metrics.SafeName(cxl.Name, "cxl"),
+		Build: func() (*models.Model, error) { return cxl.BuildScaled(scale), nil },
 		Cfg:   engine.Config{SlowTier: "cxl"},
 	})
 	return ws
@@ -278,7 +255,11 @@ func Run(opts Options) (*Result, error) {
 				if fv.Spec != "" {
 					cfg.FaultSpec = strings.ReplaceAll(fv.Spec, "{slow}", w.slowDevice())
 				}
-				name := runName("tourney", w.Name, mode, fv.Name)
+				parts := []string{"tourney", w.Name, mode}
+				if fv.Name != "" { // the clean variant has no fault name
+					parts = append(parts, fv.Name)
+				}
+				name := metrics.SafeName(parts...)
 				cell := sched.Cell{Name: name, Build: w.Build, Mode: mode, Cfg: cfg}
 				if opts.Instrument != nil {
 					cell.Done = opts.Instrument(name, &cell.Cfg)
@@ -480,30 +461,4 @@ func (r *Result) CellTable() *experiments.Table {
 		})
 	}
 	return t
-}
-
-// runName mirrors the experiments package's label discipline: lowered,
-// anything outside [a-z0-9.-] folded to '_', parts joined by '-'. Empty
-// parts are dropped (the clean variant has no fault name).
-func runName(parts ...string) string {
-	var b strings.Builder
-	first := true
-	for _, p := range parts {
-		if p == "" {
-			continue
-		}
-		if !first {
-			b.WriteByte('-')
-		}
-		first = false
-		for _, r := range strings.ToLower(p) {
-			switch {
-			case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-', r == '.':
-				b.WriteRune(r)
-			default:
-				b.WriteByte('_')
-			}
-		}
-	}
-	return b.String()
 }

@@ -1,12 +1,59 @@
 package twolm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"cachedarrays/internal/memsim"
 )
+
+// AccessReference is the seed per-line implementation of Access, kept as
+// the equivalence baseline the property tests below verify the batched
+// Access against. Tag state, statistics and modelled costs are
+// bit-identical between the two.
+func (c *Cache) AccessReference(addr, size int64, write bool) Cost {
+	if size <= 0 {
+		return Cost{}
+	}
+	if addr < 0 || addr+size > c.slow.Capacity {
+		panic(fmt.Sprintf("twolm: access [%d,%d) outside backing memory (%d)",
+			addr, addr+size, c.slow.Capacity))
+	}
+	first := addr / c.cfg.LineSize
+	last := (addr + size - 1) / c.cfg.LineSize
+	var hits, cleanMisses, dirtyMisses int64
+	for line := first; line <= last; line++ {
+		set := line % c.numSets
+		if c.tags[set] == line {
+			hits++
+		} else {
+			if c.tags[set] < 0 {
+				c.occupied++
+			}
+			if c.tags[set] >= 0 && c.dirty[set] {
+				dirtyMisses++
+			} else {
+				cleanMisses++
+			}
+			if c.dirty[set] {
+				c.dirtyCnt--
+			}
+			c.tags[set] = line
+			c.dirty[set] = false
+		}
+		if write && !c.dirty[set] {
+			c.dirty[set] = true
+			c.dirtyCnt++
+		}
+	}
+	c.stats.Hits += hits
+	c.stats.CleanMisses += cleanMisses
+	c.stats.DirtyMisses += dirtyMisses
+
+	return c.accessCost(size, cleanMisses, dirtyMisses, write)
+}
 
 // equivalencePair builds two identically configured caches over separate
 // platforms, so batched Access and the per-line AccessReference can run

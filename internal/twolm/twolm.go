@@ -205,7 +205,8 @@ func (c *Cost) Add(o Cost) {
 // laps into closed-form miss counts (every middle line evicts the line
 // this same access installed one lap earlier), so host cost is bounded
 // by O(min(lines, 2·sets)) per access. Statistics, tag state and traffic
-// are bit-identical to the per-line loop (see AccessReference).
+// are bit-identical to the seed per-line loop, which equivalence_test.go
+// keeps as the reference.
 func (c *Cache) Access(addr, size int64, write bool) Cost {
 	if size <= 0 {
 		return Cost{}
@@ -306,52 +307,6 @@ func (c *Cache) runLines(startLine, startSet, count int64, write bool) (hits, cl
 		set = 0
 	}
 	return hits, cleanMisses, dirtyMisses
-}
-
-// AccessReference is the seed per-line implementation of Access, kept as
-// the equivalence baseline: property tests and the hot-path benchmarks
-// verify and measure the batched Access against it. Tag state, statistics
-// and modelled costs are bit-identical between the two.
-func (c *Cache) AccessReference(addr, size int64, write bool) Cost {
-	if size <= 0 {
-		return Cost{}
-	}
-	if addr < 0 || addr+size > c.slow.Capacity {
-		panic(fmt.Sprintf("twolm: access [%d,%d) outside backing memory (%d)",
-			addr, addr+size, c.slow.Capacity))
-	}
-	first := addr / c.cfg.LineSize
-	last := (addr + size - 1) / c.cfg.LineSize
-	var hits, cleanMisses, dirtyMisses int64
-	for line := first; line <= last; line++ {
-		set := line % c.numSets
-		if c.tags[set] == line {
-			hits++
-		} else {
-			if c.tags[set] < 0 {
-				c.occupied++
-			}
-			if c.tags[set] >= 0 && c.dirty[set] {
-				dirtyMisses++
-			} else {
-				cleanMisses++
-			}
-			if c.dirty[set] {
-				c.dirtyCnt--
-			}
-			c.tags[set] = line
-			c.dirty[set] = false
-		}
-		if write && !c.dirty[set] {
-			c.dirty[set] = true
-			c.dirtyCnt++
-		}
-	}
-	c.stats.Hits += hits
-	c.stats.CleanMisses += cleanMisses
-	c.stats.DirtyMisses += dirtyMisses
-
-	return c.accessCost(size, cleanMisses, dirtyMisses, write)
 }
 
 // accessCost charges the modelled timing and traffic for an access of the

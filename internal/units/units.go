@@ -9,6 +9,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -72,7 +73,9 @@ func Seconds(s float64) string { return fmt.Sprintf("%.3f s", s) }
 
 // ParseBytes parses strings like "180GB", "1.5TB", "64KiB", "512", with an
 // optional space before the unit. Units are case-insensitive; a bare number
-// is bytes.
+// is bytes. Sizes are capacities and budgets, so a negative one — or one
+// past the int64 range — is rejected here rather than reaching a device
+// constructor.
 func ParseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -115,5 +118,8 @@ func ParseBytes(s string) (int64, error) {
 	default:
 		return 0, fmt.Errorf("units: unknown unit %q in %q", unitStr, s)
 	}
-	return int64(num * mult), nil
+	if n := num * mult; n >= 0 && n < math.MaxInt64 {
+		return int64(n), nil
+	}
+	return 0, fmt.Errorf("units: size %q is negative or out of range", s)
 }

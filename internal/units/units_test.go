@@ -76,7 +76,8 @@ func TestParseBytes(t *testing.T) {
 }
 
 func TestParseBytesErrors(t *testing.T) {
-	for _, in := range []string{"", "GB", "12XB", "abc", "1.2.3GB", "  "} {
+	for _, in := range []string{"", "GB", "12XB", "abc", "1.2.3GB", "  ",
+		"-5GB", "-1", "-0.5 MiB", "99999999999TB"} {
 		if _, err := ParseBytes(in); err == nil {
 			t.Errorf("ParseBytes(%q) succeeded, want error", in)
 		}
