@@ -17,7 +17,7 @@ package pagemig
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cachedarrays/internal/memsim"
 )
@@ -75,6 +75,21 @@ type Migrator struct {
 	hot       []float64
 	fastUsed  int64
 	stats     Stats
+
+	// touched is one past the highest page any Access has reached. Pages
+	// at or above it still have hot == 0 and !inFast, so Epoch's scan and
+	// decay stop there; at paper scale that is a third of the address
+	// space.
+	touched int64
+	// Epoch's candidate lists, kept between epochs so a steady-state
+	// epoch allocates nothing.
+	slowHot, fastCold []cand
+}
+
+// cand is one migration candidate: a page and its hotness at scan time.
+type cand struct {
+	pg  int64
+	hot float64
 }
 
 // New builds a migrator whose address space spans the slow device.
@@ -123,11 +138,14 @@ func (m *Migrator) Access(addr, size int64, write bool, access memsim.Access) Ac
 	if size <= 0 {
 		return AccessResult{}
 	}
-	if addr < 0 || addr+size > m.numPages*m.cfg.PageSize {
+	if addr < 0 || addr+size > m.slow.Capacity {
 		panic(fmt.Sprintf("pagemig: access [%d,%d) out of range", addr, addr+size))
 	}
 	first := addr / m.cfg.PageSize
 	last := (addr + size - 1) / m.cfg.PageSize
+	if last >= m.touched {
+		m.touched = last + 1
+	}
 	var fastBytes, slowBytes int64
 	for pg := first; pg <= last; pg++ {
 		m.hot[pg]++
@@ -156,27 +174,53 @@ func (m *Migrator) Access(addr, size int64, write bool, access memsim.Access) Ac
 	return AccessResult{Time: t, FastBytes: fastBytes, SlowBytes: slowBytes}
 }
 
+// hotterFirst and colderFirst order candidates by hotness alone; equally
+// hot pages compare equal. Spelled out because cmp.Compare's NaN ordering
+// — hotness is never NaN — costs a quarter of the sort.
+func hotterFirst(a, b cand) int {
+	switch {
+	case a.hot > b.hot:
+		return -1
+	case a.hot < b.hot:
+		return 1
+	}
+	return 0
+}
+
+func colderFirst(a, b cand) int { return hotterFirst(b, a) }
+
+// pageBytes is how much of page pg the address space backs: a full page,
+// except for the last one when the slow capacity is not a multiple of
+// the page size.
+func (m *Migrator) pageBytes(pg int64) int64 {
+	return min(m.cfg.PageSize, m.slow.Capacity-pg*m.cfg.PageSize)
+}
+
 // Epoch runs one migration pass: the hottest slow pages displace the
 // coldest fast pages (with hysteresis), hotness decays, and the modelled
 // migration time is returned (the caller charges it to the clock — the
 // paper's OS baselines pay this on the application's critical path via
 // page faults and TLB shootdowns).
+//
+// Which of several equally hot pages migrates when the budget or the
+// DRAM quota cuts a tie group is decided by the order the standard
+// library's unstable pdqsort leaves them in, and committed results
+// depend on it: the comparators below must stay "hotter first" and
+// "colder first" with ties equal, and the algorithm must stay
+// slices.SortFunc (TestEpochTieOrderPinned).
 func (m *Migrator) Epoch() float64 {
 	m.stats.Epochs++
-	type cand struct {
-		pg  int64
-		hot float64
-	}
-	var slowHot, fastCold []cand
-	for pg := int64(0); pg < m.numPages; pg++ {
+	slowHot, fastCold := m.slowHot[:0], m.fastCold[:0]
+	for pg := int64(0); pg < m.touched; pg++ {
 		if m.hot[pg] > 0 && !m.inFast[pg] {
 			slowHot = append(slowHot, cand{pg, m.hot[pg]})
 		} else if m.inFast[pg] {
 			fastCold = append(fastCold, cand{pg, m.hot[pg]})
 		}
 	}
-	sort.Slice(slowHot, func(i, j int) bool { return slowHot[i].hot > slowHot[j].hot })
-	sort.Slice(fastCold, func(i, j int) bool { return fastCold[i].hot < fastCold[j].hot })
+	m.slowHot, m.fastCold = slowHot, fastCold
+	slices.SortFunc(slowHot, hotterFirst)
+	slices.SortFunc(fastCold, colderFirst)
 
 	var elapsed float64
 	var moved int64
@@ -186,14 +230,15 @@ func (m *Migrator) Epoch() float64 {
 		if budget > 0 && moved >= budget {
 			break
 		}
+		up := m.pageBytes(s.pg)
 		if m.fastUsed < m.fastQuota {
 			// Free DRAM: promotion costs one page copy up.
-			elapsed += m.copier.Copy(m.fast, 0, m.slow, s.pg*m.cfg.PageSize%m.slow.Capacity, m.cfg.PageSize)
+			elapsed += m.copier.Copy(m.fast, 0, m.slow, s.pg*m.cfg.PageSize, up)
 			m.inFast[s.pg] = true
 			m.fastUsed++
 			m.stats.Promotions++
-			m.stats.PromotedBytes += m.cfg.PageSize
-			moved += m.cfg.PageSize
+			m.stats.PromotedBytes += up
+			moved += up
 			continue
 		}
 		// Must displace the coldest fast page — only worth it with a
@@ -207,17 +252,18 @@ func (m *Migrator) Epoch() float64 {
 		}
 		ci++
 		// Demote victim (fast -> slow), promote candidate.
-		elapsed += m.copier.Copy(m.slow, victim.pg*m.cfg.PageSize%m.slow.Capacity, m.fast, 0, m.cfg.PageSize)
-		elapsed += m.copier.Copy(m.fast, 0, m.slow, s.pg*m.cfg.PageSize%m.slow.Capacity, m.cfg.PageSize)
+		down := m.pageBytes(victim.pg)
+		elapsed += m.copier.Copy(m.slow, victim.pg*m.cfg.PageSize, m.fast, 0, down)
+		elapsed += m.copier.Copy(m.fast, 0, m.slow, s.pg*m.cfg.PageSize, up)
 		m.inFast[victim.pg] = false
 		m.inFast[s.pg] = true
 		m.stats.Demotions++
 		m.stats.Promotions++
-		m.stats.DemotedBytes += m.cfg.PageSize
-		m.stats.PromotedBytes += m.cfg.PageSize
-		moved += 2 * m.cfg.PageSize
+		m.stats.DemotedBytes += down
+		m.stats.PromotedBytes += up
+		moved += down + up
 	}
-	for pg := range m.hot {
+	for pg := range m.hot[:m.touched] {
 		m.hot[pg] *= m.cfg.Decay
 	}
 	m.stats.MigrateTime += elapsed

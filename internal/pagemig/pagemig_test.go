@@ -7,7 +7,7 @@ import (
 	"cachedarrays/internal/units"
 )
 
-func newMig(t *testing.T, fastCap, slowCap int64, cfg Config) (*Migrator, *memsim.Platform) {
+func newMig(t testing.TB, fastCap, slowCap int64, cfg Config) (*Migrator, *memsim.Platform) {
 	t.Helper()
 	p := memsim.NewPlatform(memsim.PlatformConfig{
 		FastCapacity: fastCap, SlowCapacity: slowCap, CopyThreads: 4,

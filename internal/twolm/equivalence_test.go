@@ -9,11 +9,28 @@ import (
 	"cachedarrays/internal/memsim"
 )
 
-// AccessReference is the seed per-line implementation of Access, kept as
-// the equivalence baseline the property tests below verify the batched
-// Access against. Tag state, statistics and modelled costs are
+// refCache is the seed per-line implementation, kept as the equivalence
+// baseline the tests below verify the extent-list Cache against: one tag
+// and one dirty bit per set, every line of an access visited in turn. It
+// owns its flat arrays and borrows the embedded Cache only for the
+// devices, the statistics, the two counters and accessCost; the embedded
+// extent list stays unused. Tag state, statistics and modelled costs are
 // bit-identical between the two.
-func (c *Cache) AccessReference(addr, size int64, write bool) Cost {
+type refCache struct {
+	*Cache
+	tags  []int64 // line index resident in each set; -1 = invalid
+	dirty []bool
+}
+
+func newRefCache(c *Cache) *refCache {
+	r := &refCache{Cache: c, tags: make([]int64, c.numSets), dirty: make([]bool, c.numSets)}
+	for i := range r.tags {
+		r.tags[i] = -1
+	}
+	return r
+}
+
+func (c *refCache) Access(addr, size int64, write bool) Cost {
 	if size <= 0 {
 		return Cost{}
 	}
@@ -55,10 +72,90 @@ func (c *Cache) AccessReference(addr, size int64, write bool) Cost {
 	return c.accessCost(size, cleanMisses, dirtyMisses, write)
 }
 
+func (c *refCache) Flush() {
+	for i := range c.tags {
+		c.tags[i] = -1
+		c.dirty[i] = false
+	}
+	c.occupied, c.dirtyCnt = 0, 0
+}
+
+func (c *refCache) WritebackAll() float64 {
+	if c.dirtyCnt == 0 {
+		return 0
+	}
+	lines := c.dirtyCnt
+	for set := range c.dirty {
+		c.dirty[set] = false
+	}
+	c.dirtyCnt = 0
+	nvAcc := memsim.Access{Threads: 28, Granularity: c.cfg.HWLineBytes}
+	appAcc := memsim.Access{Threads: 28, Granularity: c.cfg.LineSize}
+	t := c.fast.Read(lines*c.cfg.LineSize, appAcc)
+	t += c.slow.Write(lines*c.cfg.LineSize, nvAcc)
+	return t
+}
+
+// expand turns the extent list back into one (tag, dirty) per set.
+func (c *Cache) expand() (tags []int64, dirty []bool) {
+	tags, dirty = make([]int64, c.numSets), make([]bool, c.numSets)
+	for i, s := range c.segs {
+		end := c.numSets
+		if i+1 < len(c.segs) {
+			end = c.segs[i+1].start
+		}
+		for set := s.start; set < end; set++ {
+			tags[set] = -1
+			if s.state != 0 {
+				tags[set] = (s.state>>1-1)*c.numSets + set
+				dirty[set] = s.state&1 == 1
+			}
+		}
+	}
+	return tags, dirty
+}
+
+// checkCanonical asserts the extent list's invariant — starts strictly
+// increasing from 0 and inside the set array, adjacent states different,
+// no dirty-invalid state — and that the incremental counters are the
+// per-state lengths summed.
+func checkCanonical(t testing.TB, step int, c *Cache) {
+	t.Helper()
+	if len(c.segs) == 0 || c.segs[0].start != 0 {
+		t.Fatalf("step %d: extent list does not start at set 0: %v", step, c.segs)
+	}
+	var occupied, dirty int64
+	for i, s := range c.segs {
+		end := c.numSets
+		if i+1 < len(c.segs) {
+			end = c.segs[i+1].start
+			if c.segs[i+1].state == s.state {
+				t.Fatalf("step %d: segments %d and %d share state %d: %v", step, i, i+1, s.state, c.segs)
+			}
+		}
+		if end <= s.start {
+			t.Fatalf("step %d: segment %d is empty or out of order: %v", step, i, c.segs)
+		}
+		if s.state == 1 || s.state < 0 {
+			t.Fatalf("step %d: segment %d has impossible state %d", step, i, s.state)
+		}
+		if s.state != 0 {
+			occupied += end - s.start
+		}
+		if s.state&1 == 1 {
+			dirty += end - s.start
+		}
+	}
+	if occupied != c.occupied || dirty != c.dirtyCnt {
+		t.Fatalf("step %d: counters (%d occupied, %d dirty) but the list holds (%d, %d)",
+			step, c.occupied, c.dirtyCnt, occupied, dirty)
+	}
+}
+
 // equivalencePair builds two identically configured caches over separate
-// platforms, so batched Access and the per-line AccessReference can run
-// the same stream without sharing tag state or traffic counters.
-func equivalencePair(t *testing.T, fastCap, slowCap, lineSize int64) (*Cache, *Cache) {
+// platforms, so Access and the per-line reference can run the same stream
+// without sharing tag state or traffic counters.
+func equivalencePair(t testing.TB, fastCap, slowCap, lineSize int64) (*Cache, *refCache) {
 	t.Helper()
 	mk := func() *Cache {
 		p := memsim.NewPlatform(memsim.PlatformConfig{
@@ -70,13 +167,15 @@ func equivalencePair(t *testing.T, fastCap, slowCap, lineSize int64) (*Cache, *C
 		}
 		return c
 	}
-	return mk(), mk()
+	return mk(), newRefCache(mk())
 }
 
-// compareCaches asserts every observable of the two caches is identical:
-// statistics, tag array, dirty bits, incremental counters.
-func compareCaches(t *testing.T, step int, batched, ref *Cache) {
+// compareCaches asserts every observable of the two caches is identical —
+// statistics, incremental counters, device traffic, and per-set tag and
+// dirty bit — and that the extent list is in canonical form.
+func compareCaches(t testing.TB, step int, batched *Cache, ref *refCache) {
 	t.Helper()
+	checkCanonical(t, step, batched)
 	if batched.stats != ref.stats {
 		t.Fatalf("step %d: stats diverged: batched %+v vs reference %+v", step, batched.stats, ref.stats)
 	}
@@ -84,62 +183,108 @@ func compareCaches(t *testing.T, step int, batched, ref *Cache) {
 		t.Fatalf("step %d: counters diverged: batched (%d, %d) vs reference (%d, %d)",
 			step, batched.occupied, batched.dirtyCnt, ref.occupied, ref.dirtyCnt)
 	}
-	for set := range batched.tags {
-		if batched.tags[set] != ref.tags[set] || batched.dirty[set] != ref.dirty[set] {
+	if a, b := batched.fast.Counters(), ref.fast.Counters(); a != b {
+		t.Fatalf("step %d: DRAM traffic diverged: batched %+v vs reference %+v", step, a, b)
+	}
+	if a, b := batched.slow.Counters(), ref.slow.Counters(); a != b {
+		t.Fatalf("step %d: NVRAM traffic diverged: batched %+v vs reference %+v", step, a, b)
+	}
+	tags, dirty := batched.expand()
+	for set := range tags {
+		if tags[set] != ref.tags[set] || dirty[set] != ref.dirty[set] {
 			t.Fatalf("step %d: set %d diverged: batched (tag %d, dirty %v) vs reference (tag %d, dirty %v)",
-				step, set, batched.tags[set], batched.dirty[set], ref.tags[set], ref.dirty[set])
+				step, set, tags[set], dirty[set], ref.tags[set], ref.dirty[set])
 		}
 	}
 }
 
-// runAccessTrace replays one random access stream through batched Access
-// and per-line AccessReference, comparing full cache state and modelled
-// cost after every access. Access sizes are drawn up to several times the
-// cache capacity so the middle-lap arithmetic fold is exercised, not just
-// the wrap-free segment walk.
+// cachePair runs every operation on the extent-list Cache and on the
+// per-line reference, comparing the results and then the whole state.
+type cachePair struct {
+	t       testing.TB
+	batched *Cache
+	ref     *refCache
+	step    int
+}
+
+func (p *cachePair) access(addr, size int64, write bool) {
+	p.t.Helper()
+	got := p.batched.Access(addr, size, write)
+	want := p.ref.Access(addr, size, write)
+	if got != want {
+		p.t.Fatalf("step %d: Access(%d, %d, write=%v) cost diverged: batched %+v vs reference %+v",
+			p.step, addr, size, write, got, want)
+	}
+	p.compare()
+}
+
+func (p *cachePair) flush() {
+	p.t.Helper()
+	p.batched.Flush()
+	p.ref.Flush()
+	p.compare()
+}
+
+func (p *cachePair) writebackAll() {
+	p.t.Helper()
+	if got, want := p.batched.WritebackAll(), p.ref.WritebackAll(); got != want {
+		p.t.Fatalf("step %d: WritebackAll diverged: batched %v vs reference %v", p.step, got, want)
+	}
+	p.compare()
+}
+
+func (p *cachePair) compare() {
+	p.t.Helper()
+	compareCaches(p.t, p.step, p.batched, p.ref)
+	p.step++
+}
+
+// The trace and fuzz geometry: 16 sets, so laps are cheap to generate.
+const (
+	traceLine    = 64
+	traceFastCap = 16 * traceLine
+	traceSlowCap = 64 << 10
+)
+
+func newTracePair(t testing.TB) *cachePair {
+	batched, ref := equivalencePair(t, traceFastCap, traceSlowCap, traceLine)
+	return &cachePair{t: t, batched: batched, ref: ref}
+}
+
+// runAccessTrace replays one random access stream through Access and the
+// per-line reference, comparing full cache state and modelled cost after
+// every operation. Access sizes are drawn up to several times the cache
+// capacity so the lap loop is exercised, not just a single run.
 func runAccessTrace(t *testing.T, seed int64, ops int) {
 	t.Helper()
-	const (
-		lineSize = 64
-		fastCap  = 16 * lineSize // 16 sets: laps are cheap to generate
-		slowCap  = 64 << 10
-	)
-	batched, ref := equivalencePair(t, fastCap, slowCap, lineSize)
+	p := newTracePair(t)
 	rng := rand.New(rand.NewSource(seed))
 	for step := 0; step < ops; step++ {
-		if rng.Intn(20) == 0 {
-			batched.Flush()
-			ref.Flush()
+		switch rng.Intn(40) {
+		case 0, 1:
+			p.flush()
+		case 2:
+			p.writebackAll()
 		}
 		write := rng.Intn(2) == 1
 		var size int64
 		switch rng.Intn(3) {
 		case 0: // sub-line / few-line accesses, including unaligned
-			size = 1 + rng.Int63n(4*lineSize)
+			size = 1 + rng.Int63n(4*traceLine)
 		case 1: // around one cache lap
-			size = fastCap/2 + rng.Int63n(fastCap)
-		default: // multiple laps: middle fold path
-			size = 2*fastCap + rng.Int63n(3*fastCap)
+			size = traceFastCap/2 + rng.Int63n(traceFastCap)
+		default: // multiple laps
+			size = 2*traceFastCap + rng.Int63n(3*traceFastCap)
 		}
-		addr := rng.Int63n(slowCap - size)
-		got := batched.Access(addr, size, write)
-		want := ref.AccessReference(addr, size, write)
-		if got != want {
-			t.Fatalf("step %d: Access(%d, %d, write=%v) cost diverged: batched %+v vs reference %+v",
-				step, addr, size, write, got, want)
-		}
-		compareCaches(t, step, batched, ref)
+		p.access(rng.Int63n(traceSlowCap-size), size, write)
 	}
-	if wbB, wbR := batched.WritebackAll(), ref.WritebackAll(); wbB != wbR {
-		t.Fatalf("WritebackAll diverged: batched %v vs reference %v", wbB, wbR)
-	}
-	compareCaches(t, ops, batched, ref)
+	p.writebackAll()
 }
 
 // TestAccessMatchesReferenceQuick is the headline 2LM equivalence
-// property: on random access streams the run-length batched Access is
-// bit-identical to the seed per-line loop in statistics, tag state and
-// modelled cost.
+// property: on random access streams the extent-list Access is
+// bit-identical to the seed per-line loop in statistics, tag state,
+// traffic and modelled cost.
 func TestAccessMatchesReferenceQuick(t *testing.T) {
 	prop := func(seed int64) bool {
 		runAccessTrace(t, seed, 200)
@@ -154,10 +299,35 @@ func TestAccessMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
-// TestAccessMatchesReferenceBoundaries pins the exact boundary cases of
-// the batching arithmetic: n == numSets (one full lap, no fold),
-// n == 2*numSets (fold with zero middle lines), and one-line-either-side
-// of both, plus accesses starting at every set offset.
+// FuzzAccessMatchesReference decodes bytes into operations on the same
+// 16-set cache, three bytes each: the first picks read, write, Flush or
+// WritebackAll (the latter two rarely, so state builds up), the other two
+// the first line and the length in half lines — up to eight laps.
+func FuzzAccessMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 0, 32, 0, 8, 16, 1, 4, 200, 0, 0, 255, 62, 0, 0, 0, 3, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := newTracePair(t)
+		for ; len(data) >= 3; data = data[3:] {
+			switch op := data[0] % 64; op {
+			case 62:
+				p.flush()
+				continue
+			case 63:
+				p.writebackAll()
+				continue
+			}
+			// Start mid-line so odd half-line counts straddle.
+			addr := int64(data[1])*traceLine + int64(data[0]>>6)*traceLine/4
+			size := (int64(data[2]) + 1) * traceLine / 2
+			p.access(addr, size, data[0]%2 == 1)
+		}
+		p.writebackAll()
+	})
+}
+
+// TestAccessMatchesReferenceBoundaries pins the boundary cases of the lap
+// loop: n == numSets (exactly one lap), n == 2*numSets, one line either
+// side of both, and five laps, each starting at every set offset.
 func TestAccessMatchesReferenceBoundaries(t *testing.T) {
 	const lineSize = 64
 	const numSets = 16
@@ -166,17 +336,10 @@ func TestAccessMatchesReferenceBoundaries(t *testing.T) {
 			2*numSets - 1, 2 * numSets, 2*numSets + 1, 5 * numSets} {
 			for startSet := int64(0); startSet < numSets; startSet++ {
 				batched, ref := equivalencePair(t, numSets*lineSize, 1<<20, lineSize)
+				p := &cachePair{t: t, batched: batched, ref: ref}
 				// Warm both caches identically so evictions happen.
-				batched.Access(0, numSets*lineSize, true)
-				ref.AccessReference(0, numSets*lineSize, true)
-				addr := (numSets + startSet) * lineSize
-				got := batched.Access(addr, lines*lineSize, write)
-				want := ref.AccessReference(addr, lines*lineSize, write)
-				if got != want {
-					t.Fatalf("lines=%d startSet=%d write=%v: cost diverged: %+v vs %+v",
-						lines, startSet, write, got, want)
-				}
-				compareCaches(t, int(lines), batched, ref)
+				p.access(0, numSets*lineSize, true)
+				p.access((numSets+startSet)*lineSize, lines*lineSize, write)
 			}
 		}
 	}

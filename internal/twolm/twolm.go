@@ -19,6 +19,8 @@ package twolm
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"cachedarrays/internal/memsim"
 )
@@ -86,9 +88,19 @@ func (s Stats) Sub(o Stats) Stats {
 		DirtyMisses: s.DirtyMisses - o.DirtyMisses}
 }
 
-// maxSets bounds tag-array memory so a mis-scaled configuration fails fast
-// instead of allocating gigabytes of host memory.
+// maxSets bounds the tag state so a mis-scaled configuration fails fast:
+// a hostile access pattern can split the extent list into one segment
+// per set.
 const maxSets = 256 << 20
+
+// seg is one run of consecutive sets holding consecutive lines in the
+// same condition: sets [start, next segment's start) — or to numSets for
+// the last segment. state is 0 when the sets are invalid, otherwise
+// (lap+1)<<1 | dirty, where set s holds line lap*numSets + s.
+type seg struct {
+	start int64
+	state int64
+}
 
 // Cache is the direct-mapped write-back DRAM cache. Addresses are physical
 // addresses in the flat NVRAM-backed heap.
@@ -97,11 +109,16 @@ type Cache struct {
 	fast    *memsim.Device // DRAM (the cache data array)
 	slow    *memsim.Device // NVRAM (backing memory)
 	numSets int64
-	tags    []int64 // line index resident in each set; -1 = invalid
-	dirty   []bool
+	// segs is the tag state as a run-length extent list. Accesses are
+	// whole tensors, so sets change condition in long runs: a few dozen
+	// segments describe millions of sets. Canonical form: segs[0].start
+	// is 0, starts strictly increase, adjacent states differ — so equal
+	// tag states have equal lists.
+	segs    []seg
+	scratch []seg // accessRun's replacement segments, reused
 	stats   Stats
-	// Incremental tag-array accounting, kept in lockstep with tags/dirty
-	// so occupancy and writeback queries never rescan the array.
+	// Incremental accounting, kept in lockstep with segs so occupancy and
+	// writeback queries never walk the list.
 	occupied int64 // sets holding a valid line
 	dirtyCnt int64 // sets holding a dirty line
 }
@@ -124,24 +141,13 @@ func New(fast, slow *memsim.Device, cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("twolm: %d sets exceeds tag-array limit %d (raise LineSize)",
 			numSets, maxSets)
 	}
-	c := &Cache{cfg: cfg, fast: fast, slow: slow, numSets: numSets,
-		tags: make([]int64, numSets), dirty: make([]bool, numSets)}
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
-	return c, nil
+	return &Cache{cfg: cfg, fast: fast, slow: slow, numSets: numSets, segs: []seg{{}}}, nil
 }
 
 // Flush invalidates every line without writing anything back (used between
 // runs; real hardware cannot do this, which is part of the point).
 func (c *Cache) Flush() {
-	if c.occupied == 0 && c.dirtyCnt == 0 {
-		return // nothing valid: the tag array is already all-invalid
-	}
-	for i := range c.tags {
-		c.tags[i] = -1
-		c.dirty[i] = false
-	}
+	c.segs = append(c.segs[:0], seg{})
 	c.occupied, c.dirtyCnt = 0, 0
 }
 
@@ -198,13 +204,10 @@ func (c *Cost) Add(o Cost) {
 // returns the modelled service-time components. The caller (the engine)
 // decides how to overlap them with compute.
 //
-// The line range is processed as contiguous wrap-free runs over the set
-// array instead of line by line: a run shares one base set, so the
-// per-line modulo disappears and the classification loop is a tight
-// array walk. A transfer longer than twice the cache folds its middle
-// laps into closed-form miss counts (every middle line evicts the line
-// this same access installed one lap earlier), so host cost is bounded
-// by O(min(lines, 2·sets)) per access. Statistics, tag state and traffic
+// The line range is cut where it wraps around the set array; each piece
+// holds one lap's lines in consecutive sets and is classified and
+// installed by accessRun in time proportional to the segments it
+// overlaps, not the lines it covers. Statistics, tag state and traffic
 // are bit-identical to the seed per-line loop, which equivalence_test.go
 // keeps as the reference.
 func (c *Cache) Access(addr, size int64, write bool) Cost {
@@ -217,29 +220,15 @@ func (c *Cache) Access(addr, size int64, write bool) Cost {
 	}
 	first := addr / c.cfg.LineSize
 	last := (addr + size - 1) / c.cfg.LineSize
-	n := last - first + 1
-	set0 := first % c.numSets
 	var hits, cleanMisses, dirtyMisses int64
-	if n >= 2*c.numSets {
-		// The access laps the whole cache at least twice. Only the
-		// first lap sees pre-access state; every middle-lap line
-		// misses on the line installed one lap earlier (same parity:
-		// dirty iff this access writes), and the final lap leaves
-		// the closing tag state. Count the middle arithmetically.
-		h, cm, dm := c.runLines(first, set0, c.numSets, write)
-		hits, cleanMisses, dirtyMisses = h, cm, dm
-		middle := n - 2*c.numSets
-		if write {
-			dirtyMisses += middle
-		} else {
-			cleanMisses += middle
-		}
-		h, cm, dm = c.runLines(first+c.numSets+middle, (set0+middle)%c.numSets, c.numSets, write)
+	for line := first; line <= last; {
+		lap, set := line/c.numSets, line%c.numSets
+		end := min(set+last-line+1, c.numSets)
+		h, cm, dm := c.accessRun(set, end, lap, write)
 		hits += h
 		cleanMisses += cm
 		dirtyMisses += dm
-	} else {
-		hits, cleanMisses, dirtyMisses = c.runLines(first, set0, n, write)
+		line += end - set
 	}
 	c.stats.Hits += hits
 	c.stats.CleanMisses += cleanMisses
@@ -248,65 +237,78 @@ func (c *Cache) Access(addr, size int64, write bool) Cost {
 	return c.accessCost(size, cleanMisses, dirtyMisses, write)
 }
 
-// runLines streams count consecutive lines starting at startLine (mapping
-// to startSet) through the tag array, splitting at set-array wrap points
-// so the inner loops index sets directly. Occupancy and dirty counters
-// are maintained incrementally. Returns the hit/clean-miss/dirty-miss
-// tallies.
-func (c *Cache) runLines(startLine, startSet, count int64, write bool) (hits, cleanMisses, dirtyMisses int64) {
-	tags, dirty := c.tags, c.dirty
-	line, set := startLine, startSet
-	for count > 0 {
-		run := c.numSets - set
-		if run > count {
-			run = count
-		}
-		if write {
-			for end := set + run; set < end; set, line = set+1, line+1 {
-				if tags[set] == line {
-					hits++
-					if !dirty[set] {
-						dirty[set] = true
-						c.dirtyCnt++
-					}
-					continue
-				}
-				if tags[set] < 0 {
-					cleanMisses++
-					c.occupied++
-					c.dirtyCnt++
-				} else if dirty[set] {
-					dirtyMisses++
-				} else {
-					cleanMisses++
-					c.dirtyCnt++
-				}
-				tags[set] = line
-				dirty[set] = true
-			}
-		} else {
-			for end := set + run; set < end; set, line = set+1, line+1 {
-				if tags[set] == line {
-					hits++
-					continue
-				}
-				if tags[set] < 0 {
-					cleanMisses++
-					c.occupied++
-				} else if dirty[set] {
-					dirtyMisses++
-					dirty[set] = false
-					c.dirtyCnt--
-				} else {
-					cleanMisses++
-				}
-				tags[set] = line
-			}
-		}
-		count -= run
-		set = 0
+// accessRun streams lap's lines for sets [a, b) through the tag state:
+// the overlapped segments are classified by length into hits, clean and
+// dirty misses, and replaced by what the run leaves behind — one dirty
+// segment after a write; after a read, a clean one broken only where
+// dirty lines of this very lap were hit and stay dirty.
+func (c *Cache) accessRun(a, b, lap int64, write bool) (hits, cleanMisses, dirtyMisses int64) {
+	segs := c.segs
+	// The segment containing a: the last one starting at or before it.
+	i := sort.Search(len(segs), func(k int) bool { return segs[k].start > a }) - 1
+	resident := (lap + 1) << 1 // state, dirty bit aside, of sets already holding this lap
+	installed := resident
+	if write {
+		installed |= 1
 	}
-	return hits, cleanMisses, dirtyMisses
+
+	// lo is where the replacement starts: after i if its head survives.
+	lo := i
+	if segs[i].start < a {
+		lo++
+	}
+	out := c.scratch[:0]
+	last := int64(-1) // state of the segment before the next one pushed
+	if lo > 0 {
+		last = segs[lo-1].state
+	}
+	push := func(start, state int64) {
+		if state != last {
+			out = append(out, seg{start, state})
+			last = state
+		}
+	}
+
+	j := i
+	for ; j < len(segs) && segs[j].start < b; j++ {
+		st := segs[j].state
+		end := c.numSets
+		if j+1 < len(segs) {
+			end = segs[j+1].start
+		}
+		from := max(segs[j].start, a)
+		n := min(end, b) - from
+		after := installed
+		switch {
+		case st&^1 == resident:
+			hits += n
+			after |= st & 1 // a read hit leaves a dirty line dirty
+		case st == 0:
+			cleanMisses += n
+			c.occupied += n
+		case st&1 == 1:
+			dirtyMisses += n
+		default:
+			cleanMisses += n
+		}
+		c.dirtyCnt += n * (after&1 - st&1)
+		push(from, after)
+		if end > b { // the tail of the last overlapped segment survives
+			push(b, st)
+		}
+	}
+	// hi is where the untouched tail resumes; its first segment merges
+	// into the replacement when the states meet.
+	hi := j
+	if hi < len(segs) && segs[hi].state == last {
+		hi++
+	}
+	c.scratch = out
+	if slices.Equal(segs[lo:hi], out) {
+		return // all hits, nothing changed
+	}
+	c.segs = slices.Replace(segs, lo, hi, out...)
+	return
 }
 
 // accessCost charges the modelled timing and traffic for an access of the
@@ -348,21 +350,19 @@ func (c *Cache) accessCost(size, cleanMisses, dirtyMisses int64, write bool) Cos
 }
 
 // WritebackAll flushes every dirty line to NVRAM and returns the modelled
-// time; used to account end-of-run consistency if needed. The dirty count
-// is already known incrementally, so a clean cache returns immediately
-// and a dirty one stops scanning once the last dirty line is cleared.
+// time; used to account end-of-run consistency if needed. A clean cache
+// returns immediately.
 func (c *Cache) WritebackAll() float64 {
 	if c.dirtyCnt == 0 {
 		return 0
 	}
 	lines := c.dirtyCnt
-	remaining := lines
-	for set := 0; remaining > 0; set++ {
-		if c.dirty[set] {
-			c.dirty[set] = false
-			remaining--
-		}
+	// Clear every dirty bit, then merge neighbours it was the only
+	// difference between (the first of a run keeps its start).
+	for i := range c.segs {
+		c.segs[i].state &^= 1
 	}
+	c.segs = slices.CompactFunc(c.segs, func(a, b seg) bool { return a.state == b.state })
 	c.dirtyCnt = 0
 	nvAcc := memsim.Access{Threads: 28, Granularity: c.cfg.HWLineBytes}
 	appAcc := memsim.Access{Threads: 28, Granularity: c.cfg.LineSize}
