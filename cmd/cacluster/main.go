@@ -47,7 +47,13 @@ func main() {
 		fatal(fmt.Errorf("-jobs must not be negative (got %d)", *jobs))
 	}
 
-	sess, err := shared.Start(*platforms > 1, os.Stdout)
+	// With -json stdout carries exactly one JSON document: the session's
+	// status lines (where -metrics/-trace outputs landed) go to stderr.
+	status := os.Stdout
+	if *asJSON {
+		status = os.Stderr
+	}
+	sess, err := shared.Start(*platforms > 1, status)
 	fatal(err)
 	defer sess.Close()
 

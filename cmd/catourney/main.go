@@ -40,7 +40,13 @@ func main() {
 	shared := runcfg.Register(flag.CommandLine)
 	flag.Parse()
 
-	sess, err := shared.Start(true, os.Stdout)
+	// With -json stdout carries exactly one JSON document: the session's
+	// status lines (where -metrics/-trace outputs landed) go to stderr.
+	status := os.Stdout
+	if *asJSON {
+		status = os.Stderr
+	}
+	sess, err := shared.Start(true, status)
 	fatal(err)
 	defer sess.Close()
 

@@ -250,7 +250,17 @@ func (f *FreeList) BlocksIn(start, length int64, fn func(offset, size int64) boo
 // order. The move callback must relocate the owner's data before the next
 // call (block moves never overlap destructively because compaction only
 // moves blocks downward).
+//
+// A heap that is already compact — no free block, or a single one at the
+// top — is left untouched: nothing would move, and because treap shape is
+// a pure function of the block set (blockPrio), the rebuild below would
+// reproduce the list and both indexes exactly. The size treap holds the
+// free blocks, so the test is O(1).
 func (f *FreeList) Compact(move func(oldOffset, newOffset, size int64)) {
+	if fr := f.sizeRoot; fr == nil ||
+		(fr.sizeLeft == nil && fr.sizeRight == nil && fr.next == nil) {
+		return
+	}
 	var cursor int64
 	var blocks []*block
 	for b := f.head; b != nil; b = b.next {

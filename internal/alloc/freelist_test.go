@@ -1,7 +1,9 @@
 package alloc
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -438,5 +440,85 @@ func TestQuickCompactionInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// treapDump renders both index treaps in preorder: the shape, not just
+// the in-order content CheckInvariants compares against the list.
+func treapDump(f *FreeList) string {
+	var sb strings.Builder
+	var walk func(b *block)
+	walk = func(b *block) {
+		if b == nil {
+			sb.WriteString(".")
+			return
+		}
+		fmt.Fprintf(&sb, "(%d/%d/%v/%d ", b.off, b.size, b.free, b.maxFree)
+		walk(b.left)
+		walk(b.right)
+		sb.WriteString(")")
+	}
+	walk(f.root)
+	sb.WriteString(" | ")
+	var swalk func(b *block)
+	swalk = func(b *block) {
+		if b == nil {
+			sb.WriteString(".")
+			return
+		}
+		fmt.Fprintf(&sb, "(%d/%d ", b.off, b.size)
+		swalk(b.sizeLeft)
+		swalk(b.sizeRight)
+		sb.WriteString(")")
+	}
+	swalk(f.sizeRoot)
+	return sb.String()
+}
+
+// TestCompactIdempotent: compacting a compact heap — allocated blocks
+// then at most one free block, what every iteration boundary's Defrag
+// finds once only persistent tensors remain — moves nothing, allocates
+// nothing, and leaves exactly the index a rebuild would: a heap that
+// reached the compact state through ordinary allocs and frees has the
+// same treap shapes as the one Compact rebuilt.
+func TestCompactIdempotent(t *testing.T) {
+	for _, fit := range []Fit{FirstFit, BestFit} {
+		f := NewFreeList(1<<20, fit)
+		var offs []int64
+		for i := 0; i < 64; i++ {
+			offs = append(offs, mustAlloc(t, f, int64(512+64*i)))
+		}
+		for i := 0; i < len(offs); i += 3 {
+			f.Free(offs[i])
+		}
+		moved := 0
+		count := func(old, new, size int64) { moved++ }
+		f.Compact(count)
+		if moved == 0 {
+			t.Fatal("fragmented heap compacted without moving anything")
+		}
+		checkInv(t, f)
+		rebuilt := treapDump(f)
+
+		// Leave and re-enter the compact state incrementally: transient
+		// blocks above the packed ones come and go in a scrambled order.
+		var top []int64
+		for i := 0; i < 16; i++ {
+			top = append(top, mustAlloc(t, f, int64(4096-128*i)))
+		}
+		for _, i := range []int{3, 0, 9, 15, 7, 1, 12, 4, 14, 2, 8, 5, 13, 6, 11, 10} {
+			f.Free(top[i])
+		}
+		moved = 0
+		if avg := testing.AllocsPerRun(10, func() { f.Compact(count) }); avg != 0 {
+			t.Errorf("%v: Compact of a compact heap allocates %.1f objects, want 0", fit, avg)
+		}
+		if moved != 0 {
+			t.Errorf("%v: Compact of a compact heap moved %d blocks", fit, moved)
+		}
+		checkInv(t, f)
+		if got := treapDump(f); got != rebuilt {
+			t.Errorf("%v: index of an incrementally compact heap differs from the rebuilt one:\n%s\n%s", fit, got, rebuilt)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -8,12 +9,16 @@ import (
 // Reference allocator with the same operation sequence decoded from the
 // fuzz input and requires them to stay observably identical: same offsets,
 // same errors, same usage statistics, and both internally consistent at
-// every step. The Reference allocator is the executable specification; any
-// divergence is a bug in the indexed fast path.
+// every step. A free op whose argument is >= 0xF0 compacts both heaps
+// instead and requires the same move(old, new, size) sequence and the same
+// surviving blocks. The Reference allocator is the executable
+// specification; any divergence is a bug in the indexed fast path.
 func FuzzAllocFreeSequence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0x10, 0x81, 0x20, 0x02, 0x00, 0x41, 0x7f, 0x03, 0x01})
 	f.Add([]byte{0, 0xff, 0xff, 0x02, 0x00, 0x00, 0x08, 0x42, 0x02, 0x01, 0x81, 0x33})
+	// Fragment, compact, compact again (nothing left to move), carry on.
+	f.Add([]byte{0, 0x00, 0x10, 0x00, 0x20, 0x00, 0x30, 0x02, 0x00, 0x02, 0xf0, 0x02, 0xf1, 0x00, 0x08, 0x02, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -69,7 +74,11 @@ func FuzzAllocFreeSequence(f *testing.F) {
 						i, offA, fl.SizeOf(offA), ref.SizeOf(offB))
 				}
 				live = append(live, offA)
-			case 2: // free a pseudo-random live block
+			case 2: // free a pseudo-random live block, or compact
+				if arg >= 0xf0 {
+					compactBoth(t, i, fl, ref, live)
+					break
+				}
 				if len(live) == 0 {
 					continue
 				}
@@ -93,4 +102,37 @@ func FuzzAllocFreeSequence(f *testing.F) {
 			t.Fatalf("drained heap still has %d used bytes", fl.Used())
 		}
 	})
+}
+
+// blockMove is one Compact callback invocation.
+type blockMove struct{ old, new, size int64 }
+
+// compactBoth compacts the indexed list and the reference, requires the
+// same move sequence and the same surviving blocks from both, and rewrites
+// live (the caller's allocated offsets) to the blocks' new homes.
+func compactBoth(t *testing.T, step int, fl *FreeList, ref *Reference, live []int64) {
+	t.Helper()
+	var got, want []blockMove
+	fl.Compact(func(old, new, size int64) { got = append(got, blockMove{old, new, size}) })
+	ref.Compact(func(old, new, size int64) { want = append(want, blockMove{old, new, size}) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("step %d: compact moves diverged:\nfreelist  %v\nreference %v", step, got, want)
+	}
+	var gotBlocks, wantBlocks []blockMove
+	fl.Blocks(func(off, size int64) bool { gotBlocks = append(gotBlocks, blockMove{off, off, size}); return true })
+	ref.Blocks(func(off, size int64) bool { wantBlocks = append(wantBlocks, blockMove{off, off, size}); return true })
+	if !slices.Equal(gotBlocks, wantBlocks) {
+		t.Fatalf("step %d: blocks diverged after compact:\nfreelist  %v\nreference %v", step, gotBlocks, wantBlocks)
+	}
+	// Moves only go downward in address order, so no destination is a
+	// later move's source: remapping each live offset once is exact.
+	to := make(map[int64]int64, len(want))
+	for _, m := range want {
+		to[m.old] = m.new
+	}
+	for i, off := range live {
+		if n, ok := to[off]; ok {
+			live[i] = n
+		}
+	}
 }

@@ -23,7 +23,10 @@ type refBlock struct {
 	prev, next *refBlock
 }
 
-var _ Allocator = (*Reference)(nil)
+var (
+	_ Allocator = (*Reference)(nil)
+	_ Compactor = (*Reference)(nil)
+)
 
 // NewReference creates the scan-based baseline allocator over a heap of
 // the given capacity with 64-byte block alignment.
@@ -166,6 +169,50 @@ func (f *Reference) BlocksIn(start, length int64, fn func(offset, size int64) bo
 		if !fn(b.off, b.size) {
 			return
 		}
+	}
+}
+
+// Compact is the seed FreeList.Compact kept verbatim (minus the treap
+// rebuild — Reference has no index): it re-creates every block, compact
+// heap or not. The fuzz target requires FreeList.Compact, which leaves an
+// already-compact heap untouched, to stay observably identical to it.
+func (f *Reference) Compact(move func(oldOffset, newOffset, size int64)) {
+	var cursor int64
+	var blocks []*refBlock
+	for b := f.head; b != nil; b = b.next {
+		if !b.free {
+			blocks = append(blocks, b)
+		}
+	}
+	// Rebuild the list from scratch: allocated blocks packed at the
+	// bottom, one free block on top.
+	var head, tail *refBlock
+	appendBlock := func(nb *refBlock) {
+		if tail == nil {
+			head, tail = nb, nb
+			return
+		}
+		tail.next = nb
+		nb.prev = tail
+		tail = nb
+	}
+	for _, b := range blocks {
+		old := b.off
+		if old != cursor && move != nil {
+			move(old, cursor, b.size)
+		}
+		delete(f.byOff, old)
+		nb := &refBlock{off: cursor, size: b.size}
+		f.byOff[cursor] = nb
+		appendBlock(nb)
+		cursor += b.size
+	}
+	if cursor < f.capacity {
+		appendBlock(&refBlock{off: cursor, size: f.capacity - cursor, free: true})
+	}
+	f.head = head
+	if f.capacity == 0 {
+		f.head = nil
 	}
 }
 

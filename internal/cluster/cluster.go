@@ -245,7 +245,7 @@ func simulateQueued(cfg Config, tenants []*tenant, ecfg engine.Config, q dispatc
 		p.Clock.Tracer = mux.Recorder()
 		p.Copier.Tracer = mux.Recorder()
 	}
-	if err := dispatch(tenants, ecfg, p, mux, q); err != nil {
+	if err := dispatch(tenants, ecfg, p, mux, q, &fanout{}); err != nil {
 		return nil, err // abandon the platform in its failed state
 	}
 	res := collect(tenants, p.Clock.Now())
@@ -380,6 +380,27 @@ func prepare(cfg Config) ([]*tenant, engine.Config, error) {
 	return tenants, ecfg, nil
 }
 
+// fanout is what the cluster hangs on the clock's one OnAdvance hook (a
+// shared clock has one hook and one Metrics slot): every advance, of any
+// tenant, audits every attached checker and ticks every attached
+// registry. Tenants attach as their steppers are built, and only the
+// instrumented ones — an unmetered, unchecked run leaves it empty, so
+// its advances cost one call and two empty loops however many tenants
+// share the platform.
+type fanout struct {
+	checkers []*invariants.Checker
+	regs     []*metrics.Registry
+}
+
+func (f *fanout) advance(now, dt float64) {
+	for _, c := range f.checkers {
+		c.OnAdvance(now, dt)
+	}
+	for _, r := range f.regs {
+		r.Tick(now, dt)
+	}
+}
+
 // dispatch is the timestamp-ordered event loop: repeatedly run the
 // unfinished tenant with the smallest private timestamp (ties broken by
 // job index), until every tenant has finished. Selection comes from the
@@ -388,7 +409,7 @@ func prepare(cfg Config) ([]*tenant, engine.Config, error) {
 // allocation-free: the queue is pre-sized, counter snapshots are value
 // copies, and the only closures (traffic attribution, the clock's hook
 // fan-out) are built once per run, never per step.
-func dispatch(tenants []*tenant, ecfg engine.Config, p *memsim.Platform, mux *tracing.Mux, q dispatchQueue) error {
+func dispatch(tenants []*tenant, ecfg engine.Config, p *memsim.Platform, mux *tracing.Mux, q dispatchQueue, hooks *fanout) error {
 	env := &engine.Env{
 		Platform:  p,
 		FastQuota: alloc.NewQuota(p.Fast.Capacity),
@@ -404,25 +425,13 @@ func dispatch(tenants []*tenant, ecfg engine.Config, p *memsim.Platform, mux *tr
 				active.slow.ReadBytes, active.slow.WriteBytes
 		}
 	}
-	// The clock has one OnAdvance hook and one Metrics slot; the cluster
-	// claims the hook and fans each advance out to every tenant's
-	// invariant checker and metrics registry.
-	var checkers []*invariants.Checker
-	var regs []*metrics.Registry
-	env.OnChecker = func(c *invariants.Checker) { checkers = append(checkers, c) }
-	env.OnRegistry = func(r *metrics.Registry) { regs = append(regs, r) }
-	p.Clock.OnAdvance = func(now, dt float64) {
-		for _, c := range checkers {
-			c.OnAdvance(now, dt)
-		}
-		for _, r := range regs {
-			r.Tick(now, dt)
-		}
-	}
+	env.OnChecker = func(c *invariants.Checker) { hooks.checkers = append(hooks.checkers, c) }
+	env.OnRegistry = func(r *metrics.Registry) { hooks.regs = append(hooks.regs, r) }
+	p.Clock.OnAdvance = hooks.advance
 	dispatches := 0
 	if len(tenants) > 1 && ecfg.Metrics.Enabled() {
 		registerClusterSeries(ecfg.Metrics, tenants, p, env, &dispatches)
-		regs = append(regs, ecfg.Metrics)
+		hooks.regs = append(hooks.regs, ecfg.Metrics)
 	}
 
 	for {

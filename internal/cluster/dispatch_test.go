@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cachedarrays/internal/engine"
+	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/units"
 )
 
@@ -201,5 +202,50 @@ func TestDispatchQueueZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("dispatch queue hot path allocated %g allocs/run, want 0", allocs)
+	}
+}
+
+// TestUnmeteredFleetRegistersNothing: an uninstrumented BenchMix run —
+// whose mix does draw the adaptive CA:OG and CA:TG modes — attaches no
+// registry and no checker to the clock's fan-out, so a tenant's advance
+// costs the same however many tenants share the platform. A metered run
+// of the same mix attaches exactly its own registries.
+func TestUnmeteredFleetRegistersNothing(t *testing.T) {
+	cfg := Config{
+		Engine: engine.Config{FastCapacity: 16 * units.MB, SlowCapacity: 2 * units.GB, Iterations: 2},
+		Jobs:   BenchMix(42, 32),
+	}
+	adaptive := 0
+	for _, j := range cfg.Jobs {
+		if j.Mode == "CA:OG" || j.Mode == "CA:TG" {
+			adaptive++
+		}
+	}
+	if adaptive == 0 {
+		t.Fatal("mix draws no adaptive tenant; pick another seed")
+	}
+	run := func(cfg Config) *fanout {
+		t.Helper()
+		tenants, ecfg, err := prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, release := engine.AcquirePlatform(ecfg)
+		hooks := &fanout{}
+		if err := dispatch(tenants, ecfg, p, nil, newTenantHeap(tenants), hooks); err != nil {
+			t.Fatal(err)
+		}
+		release()
+		return hooks
+	}
+	if h := run(cfg); len(h.regs) != 0 || len(h.checkers) != 0 {
+		t.Errorf("unmetered fleet attached %d registries and %d checkers to the fan-out",
+			len(h.regs), len(h.checkers))
+	}
+	cfg.Engine.Metrics = metrics.New(0)
+	cfg.TenantMetrics = func(string) *metrics.Registry { return metrics.New(0) }
+	if h := run(cfg); len(h.regs) != len(cfg.Jobs)+1 {
+		t.Errorf("metered fleet attached %d registries, want one per tenant plus the cluster's (%d)",
+			len(h.regs), len(cfg.Jobs)+1)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // rather than replace it.
 const (
 	// AdaptiveOG is online guidance alone: interval-based profiling and
-	// re-placement steered by the live metrics registry.
+	// re-placement steered by the slow tier's live bandwidth utilisation.
 	AdaptiveOG = "CA:OG"
 	// AdaptiveTG is the thrash guard alone over the static policy:
 	// evict/fetch ping-pong detection with fetch backoff.
@@ -26,12 +26,9 @@ const (
 var AdaptiveModes = []string{AdaptiveOG, AdaptiveTG, AdaptiveOGTG}
 
 // RunCAAdaptive executes a training run under an adaptive policy stack.
-// The stack always needs a live metrics registry (online guidance steers
-// by the slow tier's bandwidth-utilization series); when the caller did
-// not provide one, a private registry is created for the run. Sampling
-// never advances the clock or perturbs simulation state, so an adaptive
-// run with a private registry is exactly as deterministic — and as
-// cacheable — as a static one.
+// Like every mode it carries a metrics registry only when cfg.Metrics is
+// set — online guidance reads the slow tier's utilisation off the device
+// counters — so an unmetered adaptive run is as cacheable as a static one.
 func RunCAAdaptive(model *models.Model, variant string, cfg Config) (*Result, error) {
 	return drive(newAdaptiveRun(model, variant, cfg, nil))
 }
@@ -49,7 +46,7 @@ func newAdaptiveRun(model *models.Model, variant string, cfg Config, env *Env) (
 		var pol policy.Runtime = base
 		if og {
 			pol = policy.NewOnlineGuidance(base, policy.GuidanceConfig{}, now,
-				c.reg, "mem_"+c.p.Slow.Name+"_bw_util")
+				busUtil(c.p.Clock, c.p.Slow))
 		}
 		if tg {
 			pol = policy.NewThrashGuard(pol, base, policy.ThrashConfig{}, now)

@@ -113,8 +113,7 @@ func TestAdaptiveInvariants(t *testing.T) {
 }
 
 // TestAdaptiveDeterministic: adaptive runs must be exactly reproducible —
-// the property the scheduler's result cache depends on. The private
-// registry the guidance policy steers by never perturbs the simulation.
+// the property the scheduler's result cache depends on.
 func TestAdaptiveDeterministic(t *testing.T) {
 	m, cfg := thrashCfg()
 	for _, v := range AdaptiveModes {

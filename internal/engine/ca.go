@@ -9,7 +9,6 @@ import (
 	"cachedarrays/internal/gcsim"
 	"cachedarrays/internal/invariants"
 	"cachedarrays/internal/memsim"
-	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/policy"
 	"cachedarrays/internal/tracing"
@@ -106,18 +105,11 @@ type caBackend struct {
 }
 
 // newCARun builds a CachedArrays run under the switch set of mode. wrap,
-// when non-nil, stacks adaptive layers on the static policy; such a stack
-// steers by live series, so it gets a private registry when the caller
-// did not ask for metrics (sampling never perturbs the simulation, so
-// those runs stay cacheable).
+// when non-nil, stacks adaptive layers on the static policy.
 func newCARun(model *models.Model, name string, mode policy.Mode, cfg Config, env *Env,
 	wrap func(*policy.Tiered, *core) policy.Runtime) (*run, error) {
 
-	reg := cfg.Metrics
-	if wrap != nil && reg == nil {
-		reg = metrics.New(0)
-	}
-	return newRun(model, name, cfg, reg, env, func(c *core) (backend, error) {
+	return newRun(model, name, cfg, env, func(c *core) (backend, error) {
 		p := c.p
 		m, err := newManager(p, c.cfg, env)
 		if err != nil {

@@ -30,17 +30,24 @@ func RegisterPlatformMetrics(reg *metrics.Registry, p *memsim.Platform) {
 		reg.CounterFunc("mem_"+name+"_busy_seconds", func() float64 {
 			return d.Counters().BusyTime
 		})
-		peak := (d.Profile.PeakRead + d.Profile.PeakWrite) / 2
-		reg.Gauge("mem_"+name+"_bw_util", func() float64 {
-			now := p.Clock.Now()
-			if now <= 0 || peak <= 0 {
-				return 0
-			}
-			return float64(d.Counters().TotalBytes()) / now / peak
-		})
+		reg.Gauge("mem_"+name+"_bw_util", busUtil(p.Clock, d))
 	}
 	reg.Gauge("copy_queue_depth", func() float64 { return float64(p.Copier.QueueDepth()) })
 	reg.Gauge("copy_backlog_seconds", func() float64 { return p.Copier.Backlog() })
+}
+
+// busUtil returns the live reading of d's achieved bandwidth since time
+// zero as a fraction of its mixed peak: the one expression behind both the
+// mem_<device>_bw_util gauge and the utilisation online guidance steers by.
+func busUtil(clk *memsim.Clock, d *memsim.Device) func() float64 {
+	peak := (d.Profile.PeakRead + d.Profile.PeakWrite) / 2
+	return func() float64 {
+		now := clk.Now()
+		if now <= 0 || peak <= 0 {
+			return 0
+		}
+		return float64(d.Counters().TotalBytes()) / now / peak
+	}
 }
 
 // runMetrics is the engine's own instrumentation: the per-iteration kernel

@@ -37,7 +37,7 @@ func newPageMigRun(model *models.Model, pcfg pagemig.Config, cfg Config, env *En
 	if pcfg.PageSize == 0 {
 		pcfg = pagemig.DefaultConfig()
 	}
-	return newRun(model, "OS:page", cfg, cfg.Metrics, env, func(c *core) (backend, error) {
+	return newRun(model, "OS:page", cfg, env, func(c *core) (backend, error) {
 		mig, err := pagemig.New(c.p, pcfg)
 		if err != nil {
 			return nil, err

@@ -35,7 +35,7 @@ type plannedBackend struct {
 }
 
 func newPlannedRun(model *models.Model, plan *planner.Plan, cfg Config, env *Env) (*run, error) {
-	return newRun(model, "AutoTM:plan", cfg, cfg.Metrics, env, func(c *core) (backend, error) {
+	return newRun(model, "AutoTM:plan", cfg, env, func(c *core) (backend, error) {
 		m, err := newManager(c.p, c.cfg, env)
 		if err != nil {
 			return nil, err

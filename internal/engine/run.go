@@ -48,8 +48,8 @@ type core struct {
 	persistent []bool
 	cfg        Config
 	p          *memsim.Platform
-	// reg is the registry the run's series register into: cfg.Metrics,
-	// or a private registry for adaptive runs whose caller passed none.
+	// reg is cfg.Metrics, the registry every layer's series register
+	// into; nil (every method a no-op) on an unmetered run.
 	reg *metrics.Registry
 	rm  runMetrics
 	// tr is the execution-trace recorder; nil (every method a no-op)
@@ -86,9 +86,8 @@ type run struct {
 }
 
 // newRun performs the setup every mode shares and asks build for the
-// mode's backend. mode names the Result; reg is cfg.Metrics except for
-// adaptive runs (see core.reg).
-func newRun(model *models.Model, mode string, cfg Config, reg *metrics.Registry, env *Env,
+// mode's backend. mode names the Result.
+func newRun(model *models.Model, mode string, cfg Config, env *Env,
 	build func(*core) (backend, error)) (*run, error) {
 
 	cfg = cfg.withDefaults()
@@ -98,7 +97,7 @@ func newRun(model *models.Model, mode string, cfg Config, reg *metrics.Registry,
 		return nil, err
 	}
 	r := &run{
-		core: core{model: model, sched: sched, cfg: cfg, p: p, reg: reg,
+		core: core{model: model, sched: sched, cfg: cfg, p: p, reg: cfg.Metrics,
 			persistent: make([]bool, len(model.Tensors))},
 		res:     &Result{ModelName: model.Name, Mode: mode, Config: cfg},
 		release: release,
@@ -108,14 +107,14 @@ func newRun(model *models.Model, mode string, cfg Config, reg *metrics.Registry,
 	// nil-safety discipline: every layer registers its series, the clock
 	// (or the cluster's fan-out hook) drives sampling, and a nil registry
 	// records nothing.
-	RegisterPlatformMetrics(reg, p)
-	env.attachRegistry(reg, p)
+	RegisterPlatformMetrics(r.reg, p)
+	env.attachRegistry(r.reg, p)
 	b, err := build(&r.core)
 	if err != nil {
 		return nil, err
 	}
 	r.b = b
-	r.rm = newRunMetrics(reg)
+	r.rm = newRunMetrics(r.reg)
 
 	for _, id := range sched.Persistent {
 		r.persistent[id] = true

@@ -53,7 +53,7 @@ func new2LMRun(model *models.Model, memOpt bool, cfg Config, env *Env) (*run, er
 	if memOpt {
 		mode = "2LM:M"
 	}
-	return newRun(model, mode, cfg, cfg.Metrics, env, func(c *core) (backend, error) {
+	return newRun(model, mode, cfg, env, func(c *core) (backend, error) {
 		cache, err := twolm.New(c.p.Fast, c.p.Slow, c.cfg.TwoLM)
 		if err != nil {
 			return nil, err

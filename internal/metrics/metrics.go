@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -163,8 +164,16 @@ func (r *Registry) Histogram(name string) *Histogram {
 		return nil
 	}
 	h := &Histogram{name: name, min: math.Inf(1), max: math.Inf(-1)}
-	r.register(name+"_count", KindCounter, func() float64 { return float64(h.snapshot().Count) })
-	r.register(name+"_sum", KindCounter, func() float64 { return h.snapshot().Sum })
+	r.register(name+"_count", KindCounter, func() float64 {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return float64(h.count)
+	})
+	r.register(name+"_sum", KindCounter, func() float64 {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.sum
+	})
 	r.mu.Lock()
 	r.hists = append(r.hists, h)
 	r.mu.Unlock()
@@ -255,11 +264,8 @@ func (r *Registry) sample(now float64) {
 }
 
 // Value reads the live value of a registered series by name: the source
-// closure evaluated now, not the last sample. This is the read path
-// online-guidance policies steer by — the same per-tier bytes, bandwidth
-// utilization and decision counters the exports publish, consumed
-// mid-run to drive re-placement. The closure runs on the caller's
-// goroutine, which for policies is the simulation goroutine that owns
+// closure evaluated now, not the last sample. The closure runs on the
+// caller's goroutine, which must be the simulation goroutine that owns
 // the sampled state. Returns (0, false) for unknown series or a nil
 // registry.
 func (r *Registry) Value(name string) (float64, bool) {
@@ -370,7 +376,8 @@ type HistogramSnapshot struct {
 	Buckets map[string]int64 `json:"buckets,omitempty"`
 }
 
-// snapshot copies the histogram state under its lock.
+// snapshot copies the histogram state under its lock (exports only: the
+// sampled <name>_count/<name>_sum columns read their two numbers directly).
 func (h *Histogram) snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
@@ -387,7 +394,7 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 			s.Buckets["0"] = h.zero
 		}
 		for e, n := range h.buckets {
-			s.Buckets[fmt.Sprintf("%g", math.Pow(2, float64(e)))] = n
+			s.Buckets[strconv.FormatFloat(math.Ldexp(1, e), 'g', -1, 64)] = n
 		}
 	}
 	return s

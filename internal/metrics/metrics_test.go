@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -301,6 +302,58 @@ func TestHistogramBuckets(t *testing.T) {
 	s := h.snapshot()
 	if s.Count != 4 || s.Buckets["0"] != 1 || s.Buckets["0.5"] != 1 || s.Buckets["2"] != 2 {
 		t.Fatalf("histogram snapshot = %+v", s)
+	}
+}
+
+// TestBucketLabelsPinned: the exports key buckets by their lower bound's
+// string, which must stay what %g of math.Pow(2, e) printed for every
+// exponent a float64 observation can land in — subnormals included — or
+// CSV/JSON/Prometheus output drifts.
+func TestBucketLabelsPinned(t *testing.T) {
+	h := New(1).Histogram("h")
+	for e := -1074; e <= 1023; e++ {
+		h.Observe(math.Ldexp(1, e))
+	}
+	s := h.snapshot()
+	if len(s.Buckets) != 1023+1074+1 {
+		t.Fatalf("%d buckets, want one per exponent", len(s.Buckets))
+	}
+	for e := -1074; e <= 1023; e++ {
+		if label := fmt.Sprintf("%g", math.Pow(2, float64(e))); s.Buckets[label] != 1 {
+			t.Fatalf("bucket 2^%d: no label %q in the snapshot", e, label)
+		}
+	}
+}
+
+// TestHistogramColumnsAllocFree: the <name>_count/<name>_sum columns read
+// two numbers, so sampling a registry that holds histograms with
+// observations allocates nothing once the sample buffers exist — and the
+// columns still carry the snapshot's count and sum.
+func TestHistogramColumnsAllocFree(t *testing.T) {
+	r := New(1)
+	hs := []*Histogram{r.Histogram("kernel"), r.Histogram("iter")}
+	for i, h := range hs {
+		for v := 1e-6; v < 1e3; v *= 3 {
+			h.Observe(v * float64(i+1))
+		}
+	}
+	now := 0.0
+	tick := func() {
+		now++
+		r.Tick(now, 1)
+	}
+	tick() // first sample allocates the buffers (sampleChunk points each)
+	if avg := testing.AllocsPerRun(sampleChunk/2, tick); avg != 0 {
+		t.Fatalf("sampling histogram columns allocates %.1f objects per sample, want 0", avg)
+	}
+	for _, h := range hs {
+		s := h.snapshot()
+		if n, _ := r.Value(h.name + "_count"); n != float64(s.Count) || s.Count == 0 {
+			t.Fatalf("%s_count = %v, snapshot count %d", h.name, n, s.Count)
+		}
+		if sum, _ := r.Value(h.name + "_sum"); sum != s.Sum {
+			t.Fatalf("%s_sum = %v, snapshot sum %v", h.name, sum, s.Sum)
+		}
 	}
 }
 
