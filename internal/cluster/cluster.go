@@ -30,7 +30,6 @@ import (
 
 	"cachedarrays/internal/alloc"
 	"cachedarrays/internal/engine"
-	"cachedarrays/internal/invariants"
 	"cachedarrays/internal/memsim"
 	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
@@ -85,8 +84,9 @@ type Config struct {
 	// TenantMetrics, when non-nil on a multi-tenant run, supplies each
 	// tenant's private metrics registry (keyed by the tenant's sanitized
 	// label): the tenant's solo engine series land there instead of being
-	// dropped, and the caller exports them with tenant="..." labels. The
-	// cluster's fan-out hook drives sampling.
+	// dropped, and the caller exports them with tenant="..." labels. Each
+	// observes the shared clock from its tenant's first dispatch to its
+	// Finish.
 	TenantMetrics func(label string) *metrics.Registry
 	// Sched, when non-nil, memoizes the whole cluster run through the
 	// scheduler's content-addressed result cache and single-flight group:
@@ -234,18 +234,18 @@ func simulateQueued(cfg Config, tenants []*tenant, ecfg engine.Config, q dispatc
 	p, release := engine.AcquirePlatform(ecfg)
 	var mux *tracing.Mux
 	if multi && ecfg.Trace {
-		// The cluster claims the platform's one tracer slot: the mux tags
-		// every event with the currently-dispatched tenant's lane, and
-		// the steppers thread the same recorder through their own layers
-		// (Env.Tracer) instead of installing private ones.
+		// One recorder for the whole platform: the mux tags every event
+		// with the currently-dispatched tenant's lane, and the steppers
+		// thread the same recorder through their own layers (Env.Tracer)
+		// instead of attaching private ones.
 		mux = tracing.NewMux(p.Clock.Now)
 		for _, t := range tenants {
 			t.lane = mux.Lane(t.label)
 		}
-		p.Clock.Tracer = mux.Recorder()
+		p.Clock.Observe(mux.Recorder())
 		p.Copier.Tracer = mux.Recorder()
 	}
-	if err := dispatch(tenants, ecfg, p, mux, q, &fanout{}); err != nil {
+	if err := dispatch(tenants, ecfg, p, mux, q); err != nil {
 		return nil, err // abandon the platform in its failed state
 	}
 	res := collect(tenants, p.Clock.Now())
@@ -380,36 +380,15 @@ func prepare(cfg Config) ([]*tenant, engine.Config, error) {
 	return tenants, ecfg, nil
 }
 
-// fanout is what the cluster hangs on the clock's one OnAdvance hook (a
-// shared clock has one hook and one Metrics slot): every advance, of any
-// tenant, audits every attached checker and ticks every attached
-// registry. Tenants attach as their steppers are built, and only the
-// instrumented ones — an unmetered, unchecked run leaves it empty, so
-// its advances cost one call and two empty loops however many tenants
-// share the platform.
-type fanout struct {
-	checkers []*invariants.Checker
-	regs     []*metrics.Registry
-}
-
-func (f *fanout) advance(now, dt float64) {
-	for _, c := range f.checkers {
-		c.OnAdvance(now, dt)
-	}
-	for _, r := range f.regs {
-		r.Tick(now, dt)
-	}
-}
-
 // dispatch is the timestamp-ordered event loop: repeatedly run the
 // unfinished tenant with the smallest private timestamp (ties broken by
 // job index), until every tenant has finished. Selection comes from the
 // queue — the production heap or the linear-scan reference, which the
 // differential tests prove interchangeable. The per-dispatch hot path is
 // allocation-free: the queue is pre-sized, counter snapshots are value
-// copies, and the only closures (traffic attribution, the clock's hook
-// fan-out) are built once per run, never per step.
-func dispatch(tenants []*tenant, ecfg engine.Config, p *memsim.Platform, mux *tracing.Mux, q dispatchQueue, hooks *fanout) error {
+// copies, and the only closure (traffic attribution) is built once per
+// run, never per step.
+func dispatch(tenants []*tenant, ecfg engine.Config, p *memsim.Platform, mux *tracing.Mux, q dispatchQueue) error {
 	env := &engine.Env{
 		Platform:  p,
 		FastQuota: alloc.NewQuota(p.Fast.Capacity),
@@ -425,13 +404,10 @@ func dispatch(tenants []*tenant, ecfg engine.Config, p *memsim.Platform, mux *tr
 				active.slow.ReadBytes, active.slow.WriteBytes
 		}
 	}
-	env.OnChecker = func(c *invariants.Checker) { hooks.checkers = append(hooks.checkers, c) }
-	env.OnRegistry = func(r *metrics.Registry) { hooks.regs = append(hooks.regs, r) }
-	p.Clock.OnAdvance = hooks.advance
 	dispatches := 0
 	if len(tenants) > 1 && ecfg.Metrics.Enabled() {
 		registerClusterSeries(ecfg.Metrics, tenants, p, env, &dispatches)
-		hooks.regs = append(hooks.regs, ecfg.Metrics)
+		p.Clock.Observe(ecfg.Metrics)
 	}
 
 	for {

@@ -3,9 +3,11 @@ package cluster
 import (
 	"container/heap"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cachedarrays/internal/engine"
+	"cachedarrays/internal/memsim"
 	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/units"
 )
@@ -205,11 +207,53 @@ func TestDispatchQueueZeroAllocs(t *testing.T) {
 	}
 }
 
+// watchQueue runs watch before every dispatch decision of the queue it
+// wraps: the seam through which a test looks at the platform between
+// events.
+type watchQueue struct {
+	dispatchQueue
+	watch func()
+}
+
+func (q watchQueue) peek() *tenant {
+	q.watch()
+	return q.dispatchQueue.peek()
+}
+
+// dispatchWatched runs cfg through the production dispatcher on a pooled
+// platform, calling watch with the platform and the tenants before every
+// dispatch decision (the last one finds every tenant finished).
+func dispatchWatched(t *testing.T, cfg Config, watch func(p *memsim.Platform, tenants []*tenant)) []*tenant {
+	t.Helper()
+	tenants, ecfg, err := prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, release := engine.AcquirePlatform(ecfg)
+	q := watchQueue{newTenantHeap(tenants), func() { watch(p, tenants) }}
+	if err := dispatch(tenants, ecfg, p, nil, q); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	return tenants
+}
+
+// live counts the tenants whose stepper exists and has not finished.
+func live(tenants []*tenant) (n int) {
+	for _, t := range tenants {
+		if t.st != nil && !t.finished {
+			n++
+		}
+	}
+	return n
+}
+
 // TestUnmeteredFleetRegistersNothing: an uninstrumented BenchMix run —
-// whose mix does draw the adaptive CA:OG and CA:TG modes — attaches no
-// registry and no checker to the clock's fan-out, so a tenant's advance
-// costs the same however many tenants share the platform. A metered run
-// of the same mix attaches exactly its own registries.
+// whose mix does draw the adaptive CA:OG and CA:TG modes — has no clock
+// observer at any dispatch decision, so a tenant's advance costs the same
+// however many tenants share the platform. A metered run of the same mix
+// carries exactly its own registries: one per live tenant plus the
+// cluster's, and a tenant's leaves when the tenant finishes.
 func TestUnmeteredFleetRegistersNothing(t *testing.T) {
 	cfg := Config{
 		Engine: engine.Config{FastCapacity: 16 * units.MB, SlowCapacity: 2 * units.GB, Iterations: 2},
@@ -224,28 +268,88 @@ func TestUnmeteredFleetRegistersNothing(t *testing.T) {
 	if adaptive == 0 {
 		t.Fatal("mix draws no adaptive tenant; pick another seed")
 	}
-	run := func(cfg Config) *fanout {
-		t.Helper()
-		tenants, ecfg, err := prepare(cfg)
-		if err != nil {
-			t.Fatal(err)
+	decisions := 0
+	dispatchWatched(t, cfg, func(p *memsim.Platform, _ []*tenant) {
+		decisions++
+		if n := p.Clock.Observers(); n != 0 {
+			t.Fatalf("unmetered fleet has %d clock observers at dispatch decision %d", n, decisions)
 		}
-		p, release := engine.AcquirePlatform(ecfg)
-		hooks := &fanout{}
-		if err := dispatch(tenants, ecfg, p, nil, newTenantHeap(tenants), hooks); err != nil {
-			t.Fatal(err)
-		}
-		release()
-		return hooks
+	})
+	if decisions == 0 {
+		t.Fatal("the watch never ran")
 	}
-	if h := run(cfg); len(h.regs) != 0 || len(h.checkers) != 0 {
-		t.Errorf("unmetered fleet attached %d registries and %d checkers to the fan-out",
-			len(h.regs), len(h.checkers))
-	}
+
 	cfg.Engine.Metrics = metrics.New(0)
 	cfg.TenantMetrics = func(string) *metrics.Registry { return metrics.New(0) }
-	if h := run(cfg); len(h.regs) != len(cfg.Jobs)+1 {
-		t.Errorf("metered fleet attached %d registries, want one per tenant plus the cluster's (%d)",
-			len(h.regs), len(cfg.Jobs)+1)
+	peak := 0
+	dispatchWatched(t, cfg, func(p *memsim.Platform, tenants []*tenant) {
+		n, want := p.Clock.Observers(), live(tenants)+1
+		if n != want {
+			t.Fatalf("metered fleet has %d clock observers, want one per live tenant plus the cluster's (%d)", n, want)
+		}
+		peak = max(peak, n)
+	})
+	if peak < 3 || peak > len(cfg.Jobs)+1 {
+		t.Errorf("metered fleet peaked at %d observers; want several tenants live at once and at most %d",
+			peak, len(cfg.Jobs)+1)
+	}
+}
+
+// TestFinishedTenantLeavesTheClock is the regression test for the
+// sampled-after-Flush bug: nothing used to detach at Finish on a shared
+// platform, so every later advance of any tenant still ticked a finished
+// tenant's registry (its series ran on past its Flush row) and audited its
+// retired manager. With staggered finishes, every tenant's series must end
+// at that tenant's Finish, and at every dispatch decision the clock carries
+// only the live tenants' observers.
+func TestFinishedTenantLeavesTheClock(t *testing.T) {
+	regs := map[string]*metrics.Registry{}
+	cfg := Config{
+		Engine: engine.Config{
+			FastCapacity: 64 * units.MB, SlowCapacity: 4 * units.GB, Iterations: 3,
+			CheckEveryAdvance: true, Metrics: metrics.New(1e-4),
+		},
+		Jobs: Mix(1, 8),
+		TenantMetrics: func(label string) *metrics.Registry {
+			regs[label] = metrics.New(1e-4)
+			return regs[label]
+		},
+	}
+	tenants := dispatchWatched(t, cfg, func(p *memsim.Platform, tenants []*tenant) {
+		want := 1 // the cluster's registry
+		for _, tn := range tenants {
+			if tn.st == nil || tn.finished {
+				continue
+			}
+			want++ // the tenant's registry
+			if strings.HasPrefix(tn.mode, "CA:") {
+				want++ // and, on the CachedArrays backend, its checker
+			}
+		}
+		if n := p.Clock.Observers(); n != want {
+			t.Fatalf("t=%g: %d clock observers, want %d (live tenants' only)", p.Clock.Now(), n, want)
+		}
+	})
+	makespan, early, checked := 0.0, 0, 0
+	for _, tn := range tenants {
+		makespan = max(makespan, tn.finish)
+	}
+	for _, tn := range tenants {
+		if tn.finish < makespan {
+			early++
+		}
+		if tn.result.InvariantChecks > 0 {
+			checked++
+		}
+		sum := regs[tn.label].Summarize()
+		if sum.Samples < 2 {
+			t.Errorf("%s: %d samples: too few to show a tail", tn.label, sum.Samples)
+		}
+		if sum.End != tn.finish {
+			t.Errorf("%s: series ends at t=%g, tenant finished (and flushed) at t=%g", tn.label, sum.End, tn.finish)
+		}
+	}
+	if early < 2 || checked < 2 {
+		t.Fatalf("%d tenants finish before the makespan, %d were audited: the mix does not exercise the bug", early, checked)
 	}
 }

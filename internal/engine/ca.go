@@ -134,16 +134,15 @@ func newCARun(model *models.Model, name string, mode policy.Mode, cfg Config, en
 		// branch each.
 		if c.cfg.Trace {
 			if env.shared() && env.Tracer != nil {
-				// The cluster owns the platform's tracer slot (its mux is
-				// already installed there, tagging events by tenant); this
-				// run only threads the shared recorder through its own
-				// layers.
+				// The cluster already attached its mux (tagging events by
+				// tenant) to the platform; this run only threads the shared
+				// recorder through its own layers.
 				c.tr = env.Tracer
 				b.sharedTrace = true
 				b.traffic = env.Traffic
 			} else {
 				c.tr = tracing.New(p.Clock.Now)
-				p.Clock.Tracer = c.tr
+				p.Clock.Observe(c.tr)
 				p.Copier.Tracer = c.tr
 			}
 			m.SetTracer(c.tr)
@@ -160,14 +159,12 @@ func newCARun(model *models.Model, name string, mode policy.Mode, cfg Config, en
 			}
 			b.inj = faults.New(fsched, p.Clock.Now)
 			b.inj.SetTracer(c.tr)
-			p.Fast.Faults = b.inj
-			p.Slow.Faults = b.inj
-			p.Copier.Faults = b.inj
+			p.InjectFaults(b.inj)
 			m.SetFaults(b.inj)
 		}
 		if c.cfg.CheckEveryAdvance {
 			b.chk = invariants.New(m, p).WithPolicy(pol)
-			env.attachChecker(b.chk)
+			p.Clock.Observe(b.chk)
 		}
 		m.RegisterMetrics(c.reg)
 		pol.RegisterMetrics(c.reg)
@@ -379,6 +376,7 @@ func (b *caBackend) finish(res *Result) error {
 		res.Adaptive = src.AdaptiveStats()
 	}
 	if b.chk != nil {
+		p.Clock.Unobserve(b.chk)
 		res.InvariantChecks = b.chk.Checks()
 		if err := b.chk.Err(); err != nil {
 			return fmt.Errorf("engine: %w", err)

@@ -10,8 +10,8 @@ import (
 // as a fraction of the mixed peak (the Fig. 6 bus-utilization metric,
 // sampled over time instead of averaged per run), and the asynchronous
 // mover's queue depth and backlog. A nil registry registers nothing.
-// Sampling is wired separately (Env.attachRegistry): the clock drives it
-// on a solo run, the cluster's fan-out hook on a shared platform.
+// Sampling is wired separately: whoever owns the registry attaches it to
+// the platform's clock as an observer (Clock.Observe).
 // It is exported for owners outside the engine: the cluster registers the
 // series into its cluster-level registry so a multi-tenant run exports the
 // shared devices' traffic and utilization alongside the per-tenant series.
@@ -90,13 +90,16 @@ func (rm runMetrics) iter(dt float64) {
 	rm.iterHist.Observe(dt)
 }
 
-// finishMetrics stamps the run identity into the registry and takes the
-// final sample so the series ends at the run's last virtual instant.
-func finishMetrics(reg *metrics.Registry, model, mode string, now float64) {
+// finishMetrics stamps the run identity into the registry, takes the final
+// sample so the series ends at the run's last virtual instant, and stops
+// observing the clock so it stays the last: on a shared platform other
+// tenants keep advancing the clock after this run has finished.
+func finishMetrics(reg *metrics.Registry, clk *memsim.Clock, model, mode string) {
 	if !reg.Enabled() {
 		return
 	}
 	reg.SetMeta("model", model)
 	reg.SetMeta("mode", mode)
-	reg.Flush(now)
+	reg.Flush(clk.Now())
+	clk.Unobserve(reg)
 }

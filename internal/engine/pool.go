@@ -10,9 +10,10 @@ import (
 // a fresh memsim.Platform per run. Platforms are cheap but not free —
 // device structs, the copy engine and (for the 2LM baseline) the tag
 // array churn the allocator in tight sweeps. Since Platform.Reset provably
-// restores a platform to its freshly-built state (every hook detached,
-// counters zeroed, clock rewound — see the reuse-equality tests), runs
-// with the same hardware description can share one platform instance.
+// restores a platform to its freshly-built state (every observer and
+// injector dropped, counters zeroed, clock rewound — see the
+// reuse-equality tests), runs with the same hardware description can share
+// one platform instance.
 //
 // The pool is keyed by everything that makes two platforms different:
 // resolved capacities, copy-engine thread count and the slow-tier

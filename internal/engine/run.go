@@ -105,10 +105,12 @@ func newRun(model *models.Model, mode string, cfg Config, env *Env,
 	r.res.recordPeaks(p)
 	// The metrics registry threads through every layer with the tracer's
 	// nil-safety discipline: every layer registers its series, the clock
-	// (or the cluster's fan-out hook) drives sampling, and a nil registry
-	// records nothing.
+	// drives sampling, and a nil registry records nothing and observes
+	// nothing (the guard keeps a nil *Registry out of the interface).
 	RegisterPlatformMetrics(r.reg, p)
-	env.attachRegistry(r.reg, p)
+	if r.reg.Enabled() {
+		p.Clock.Observe(r.reg)
+	}
 	b, err := build(&r.core)
 	if err != nil {
 		return nil, err
@@ -215,7 +217,9 @@ func (r *run) endIter() error {
 	return nil
 }
 
-// Finish finalizes the run and returns the Result.
+// Finish finalizes the run and returns the Result. The observers the run
+// attached (checker, registry) leave the clock here, so nothing of a
+// finished run is sampled or audited by a shared platform's later advances.
 func (r *run) Finish() (*Result, error) {
 	if !r.Done() {
 		return nil, fmt.Errorf("engine: finish before run completed")
@@ -227,7 +231,7 @@ func (r *run) Finish() (*Result, error) {
 	if err := r.b.finish(r.res); err != nil {
 		return nil, err
 	}
-	finishMetrics(r.reg, r.model.Name, r.res.Mode, r.p.Clock.Now())
+	finishMetrics(r.reg, r.p.Clock, r.model.Name, r.res.Mode)
 	r.release()
 	r.res.aggregate()
 	return r.res, nil

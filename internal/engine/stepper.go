@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"cachedarrays/internal/alloc"
-	"cachedarrays/internal/invariants"
 	"cachedarrays/internal/memsim"
-	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/pagemig"
 	"cachedarrays/internal/policy"
@@ -41,8 +39,9 @@ var ErrUnknownMode = errors.New("engine: unknown mode")
 
 // Env is the execution environment a cluster dispatch loop shares between
 // the steppers it multiplexes. A nil Env (the solo path) makes each
-// stepper acquire its own pooled platform and attach its instrumentation
-// hooks directly to the clock.
+// stepper acquire its own pooled platform. Either way a stepper attaches
+// its registry and checker to the platform's clock as observers and
+// detaches them at Finish.
 type Env struct {
 	// Platform, when non-nil, is the shared platform every tenant runs
 	// on. The owner configures it (movement discipline, capacities) and
@@ -55,19 +54,11 @@ type Env struct {
 	// a smaller device.
 	FastQuota *alloc.Quota
 	SlowQuota *alloc.Quota
-	// OnChecker receives each tenant's invariant checker instead of
-	// letting it claim the clock's single OnAdvance hook; the owner fans
-	// the hook out to every registered checker.
-	OnChecker func(*invariants.Checker)
-	// OnRegistry receives each tenant's metrics registry instead of
-	// letting it claim the clock's single Metrics attachment; the owner
-	// ticks every registered registry from its fan-out hook.
-	OnRegistry func(*metrics.Registry)
 	// Tracer, when non-nil, is the owner-managed shared recorder (the
-	// cluster's tenant-tagging mux) already installed in the platform's
-	// tracer slot. Traced steppers emit into it instead of claiming the
-	// slot themselves, and leave their events out of their own Result —
-	// the owner assembles the multiplexed trace.
+	// cluster's tenant-tagging mux) the owner already attached to the
+	// platform. Traced steppers emit into it instead of attaching a
+	// private one, and leave their events out of their own Result — the
+	// owner assembles the multiplexed trace.
 	Tracer *tracing.Recorder
 	// Traffic, when Tracer is set, returns the device read/write bytes
 	// (fast read, fast write, slow read, slow write) the owner attributed
@@ -102,29 +93,6 @@ func (e *Env) limitSlow(a alloc.Allocator) alloc.Allocator {
 		return a
 	}
 	return alloc.Limit(a, e.SlowQuota)
-}
-
-// attachChecker wires an invariant checker: to the clock on the solo
-// path, to the owner's fan-out in a shared environment.
-func (e *Env) attachChecker(chk *invariants.Checker) {
-	if e.shared() && e.OnChecker != nil {
-		e.OnChecker(chk)
-		return
-	}
-	chk.Attach()
-}
-
-// attachRegistry wires a metrics registry's sampling: the clock drives it
-// on the solo path, the owner's fan-out in a shared environment.
-func (e *Env) attachRegistry(reg *metrics.Registry, p *memsim.Platform) {
-	if !reg.Enabled() {
-		return
-	}
-	if e.shared() && e.OnRegistry != nil {
-		e.OnRegistry(reg)
-		return
-	}
-	p.Clock.Metrics = reg
 }
 
 // AcquirePlatform exposes the pooled-platform path to the cluster

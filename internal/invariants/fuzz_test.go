@@ -64,9 +64,7 @@ func runHintSequence(t *testing.T, data []byte) {
 					{Kind: faults.CapacityShrink, Target: "fast", T0: 3e-4, Bytes: 16 << 10},
 				},
 			}, p.Clock.Now)
-			p.Fast.Faults = inj
-			p.Slow.Faults = inj
-			p.Copier.Faults = inj
+			p.InjectFaults(inj)
 			m.SetFaults(inj)
 		}
 
@@ -76,7 +74,7 @@ func runHintSequence(t *testing.T, data []byte) {
 			PreferCleanVictims: data[1]&1 == 1,
 		}, "fuzz", gc)
 		chk := invariants.New(m, p).WithPolicy(pol)
-		chk.Attach()
+		p.Clock.Observe(chk)
 
 		var objs []*dm.Object
 		pick := func(arg byte) *dm.Object {

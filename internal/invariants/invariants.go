@@ -2,8 +2,8 @@
 // while it runs. The data manager and the policy each validate their own
 // bookkeeping (dm.Manager.CheckInvariants, policy.Tiered.CheckInvariants);
 // this package composes those with platform-level conservation laws and
-// hooks the whole audit to the virtual clock, so every point at which
-// simulated time moves is a checkpoint:
+// runs the whole audit as an observer of the virtual clock, so every point
+// at which simulated time moves is a checkpoint:
 //
 //   - virtual time is monotone and finite;
 //   - heap bytes are conserved per tier (used + free == capacity) and
@@ -17,8 +17,9 @@
 //     exact.
 //
 // The checker is the oracle for the fuzz targets and backs `carun -check`;
-// attached to a clock it costs one function call per advance, and it is
-// never attached unless asked for, so ordinary runs are untouched.
+// it is a clock observer (memsim.Observer) like the tracer and the metrics
+// registry, any number of checkers share a clock, and none is attached
+// unless asked for, so ordinary runs are untouched.
 package invariants
 
 import (
@@ -65,25 +66,6 @@ func (c *Checker) WithPolicy(pol Policy) *Checker {
 	return c
 }
 
-// Attach hooks the checker to the platform's clock: every Advance runs the
-// mid-operation audit. The hook records the first violation (with its
-// virtual timestamp, via Err) rather than panicking, so the simulation
-// finishes and the caller reports the failure with full context.
-func (c *Checker) Attach() {
-	c.p.Clock.OnAdvance = func(now, dt float64) { c.onAdvance(now, dt) }
-}
-
-// Detach removes the clock hook.
-func (c *Checker) Detach() {
-	c.p.Clock.OnAdvance = nil
-}
-
-// OnAdvance runs the per-advance audit directly. The clock has a single
-// OnAdvance slot, so a multi-tenant dispatch loop claims the slot itself
-// and fans each advance out to every tenant's checker through this method;
-// it is exactly what Attach wires up.
-func (c *Checker) OnAdvance(now, dt float64) { c.onAdvance(now, dt) }
-
 // Checks returns how many audits have run.
 func (c *Checker) Checks() int64 { return c.checks }
 
@@ -96,12 +78,15 @@ func (c *Checker) Err() error {
 	return fmt.Errorf("invariants: at t=%.9fs: %w", c.errAt, c.firstErr)
 }
 
-// onAdvance is the clock hook: the mid-operation audit, skipped while the
-// manager is relocating regions (Defrag holds the allocator and the region
-// index transiently out of sync; the next advance catches up). After the
-// first violation the checker stands down — one failure is diagnostic,
-// thousands are noise.
-func (c *Checker) onAdvance(now, dt float64) {
+// OnAdvance makes the checker a clock observer (Clock.Observe attaches it,
+// Clock.Unobserve or the clock's Reset detaches it): the mid-operation
+// audit, skipped while the manager is relocating regions (Defrag holds the
+// allocator and the region index transiently out of sync; the next advance
+// catches up). It records the first violation (with its virtual timestamp,
+// via Err) rather than panicking, so the simulation finishes and the caller
+// reports the failure with full context; after that the checker stands
+// down — one failure is diagnostic, thousands are noise.
+func (c *Checker) OnAdvance(now, dt float64) {
 	if c.firstErr != nil {
 		return
 	}
@@ -173,7 +158,7 @@ func (c *Checker) checkCounters(d *memsim.Device, last *memsim.Counters) error {
 		return fmt.Errorf("invariants: %s busy time is %g", d.Name, cur.BusyTime)
 	}
 	// Counters legitimately reset to zero between measurement windows
-	// (ResetCounters); "ran backwards" means a partial decrease.
+	// (Device.Reset); "ran backwards" means a partial decrease.
 	if cur != (memsim.Counters{}) &&
 		(cur.ReadBytes < last.ReadBytes || cur.WriteBytes < last.WriteBytes ||
 			cur.ReadOps < last.ReadOps || cur.WriteOps < last.WriteOps) {

@@ -24,7 +24,7 @@ func TestHealthyRunPasses(t *testing.T) {
 	p := testPlatform()
 	m := dm.New(p)
 	chk := invariants.New(m, p)
-	chk.Attach()
+	p.Clock.Observe(chk)
 
 	o, err := m.NewObject(64<<10, dm.Fast)
 	if err != nil {
@@ -96,14 +96,15 @@ func TestAttachedCheckerRecordsFirstViolationWithTimestamp(t *testing.T) {
 	p := testPlatform()
 	m := dm.New(p)
 	chk := invariants.New(m, p)
-	chk.Attach()
+	p.Clock.Observe(chk)
 
 	p.Clock.Advance(2.0)
 	if err := chk.Err(); err != nil {
 		t.Fatal(err)
 	}
-	p.Clock.Reset()
-	p.Clock.Advance(0.5) // now < lastNow: caught by the hook
+	p.Clock.Reset()      // rewinds time and drops every observer
+	p.Clock.Observe(chk) // a checker carried across the rewind...
+	p.Clock.Advance(0.5) // ...sees now < lastNow on its first advance
 	err := chk.Err()
 	if err == nil || !strings.Contains(err.Error(), "at t=") {
 		t.Fatalf("Err = %v, want timestamped violation", err)
@@ -113,8 +114,8 @@ func TestAttachedCheckerRecordsFirstViolationWithTimestamp(t *testing.T) {
 	if chk.Checks() != before {
 		t.Fatal("checker kept auditing after recording a violation")
 	}
-	chk.Detach()
-	if p.Clock.OnAdvance != nil {
-		t.Fatal("Detach left the clock hook installed")
+	p.Clock.Unobserve(chk)
+	if n := p.Clock.Observers(); n != 0 {
+		t.Fatalf("Unobserve left %d observers on the clock", n)
 	}
 }

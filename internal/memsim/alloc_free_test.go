@@ -20,8 +20,8 @@ func TestAdvanceHotPathAllocs(t *testing.T) {
 	rec := tracing.New(c.Now)
 	reg := metrics.New(1e6) // one sample per 1e6 virtual seconds: never crossed here
 	reg.Gauge("g", func() float64 { return 1 })
-	c.Tracer = rec
-	c.Metrics = reg
+	c.Observe(rec)
+	c.Observe(reg)
 
 	// Warm the recorder's current chunk past its first-emit allocation.
 	c.Advance(1e-9)
@@ -41,14 +41,25 @@ func TestAdvanceHotPathAllocs(t *testing.T) {
 }
 
 // TestAdvanceHotPathAllocsUntraced: the uninstrumented advance (the
-// default configuration) must also be allocation-free.
+// default configuration — a clock nobody observes) must also be
+// allocation-free, on a fresh clock and after observers came and went.
 func TestAdvanceHotPathAllocsUntraced(t *testing.T) {
 	c := &Clock{}
-	if allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 100; i++ {
-			c.Advance(1e-9)
+	bare := func(state string) {
+		if allocs := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 100; i++ {
+				c.Advance(1e-9)
+			}
+		}); allocs != 0 {
+			t.Fatalf("bare Advance on a %s clock allocates: %.2f allocs per 100 advances", state, allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("bare Advance allocates: %.2f allocs per 100 advances", allocs)
 	}
+	bare("fresh")
+	reg := metrics.New(1e6)
+	c.Observe(reg)
+	c.Unobserve(reg)
+	bare("unobserved")
+	c.Observe(reg)
+	c.Reset()
+	bare("reset")
 }

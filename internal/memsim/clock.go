@@ -11,60 +11,65 @@ package memsim
 
 import (
 	"fmt"
-
-	"cachedarrays/internal/metrics"
-	"cachedarrays/internal/tracing"
+	"slices"
 )
 
+// Observer is told every time virtual time moves: now is the clock after
+// the advance, dt the step. The execution tracer, the metrics registry and
+// the invariant checker are the three observers; an observer must not
+// advance the clock it watches.
+type Observer interface {
+	OnAdvance(now, dt float64)
+}
+
 // Clock is a virtual-time clock measured in seconds. The zero value is a
-// clock at time zero, ready to use.
+// clock at time zero with no observers, ready to use.
 type Clock struct {
 	now float64
-
-	// Tracer, when non-nil, records every advance into the execution
-	// trace. A nil tracer costs one branch per advance.
-	Tracer *tracing.Recorder
-
-	// Metrics, when non-nil, is sampled on its virtual-time cadence:
-	// every advance offers the new time to the registry, which samples
-	// all registered series when the step crossed a sampling boundary.
-	// A nil registry costs one branch per advance.
-	Metrics *metrics.Registry
-
-	// OnAdvance, when non-nil, runs after every advance with the new time
-	// and the step size. The invariant checker hooks here to audit the
-	// whole runtime state machine at every point virtual time moves; a
-	// nil hook costs one branch per advance, the same discipline as the
-	// tracer.
-	OnAdvance func(now, dt float64)
+	// observers fire after every advance, in attachment order. Unobserve
+	// replaces the slice instead of editing it, so an Advance in progress
+	// keeps ranging over the list it started with.
+	observers []Observer
 }
 
 // Now returns the current virtual time in seconds.
 func (c *Clock) Now() float64 { return c.now }
 
-// Advance moves the clock forward by dt seconds. It panics on negative dt:
-// virtual time is monotone and a negative advance always indicates a bug in
-// the timing model.
+// Observe appends o to the observer list: from the next advance on it
+// fires after every observer attached before it. Any number of observers
+// of any type share a clock; one attached twice fires twice. Called from
+// inside OnAdvance it takes effect at the next advance.
+func (c *Clock) Observe(o Observer) { c.observers = append(c.observers, o) }
+
+// Unobserve removes o (its earliest attachment) from the list, keeping the
+// others' order; an observer that is not attached is a no-op. Called from
+// inside OnAdvance it takes effect at the next advance: the advance in
+// progress still reaches every observer it started with.
+func (c *Clock) Unobserve(o Observer) {
+	if i := slices.Index(c.observers, o); i >= 0 {
+		c.observers = slices.Delete(slices.Clone(c.observers), i, i+1)
+	}
+}
+
+// Observers returns how many observers are attached.
+func (c *Clock) Observers() int { return len(c.observers) }
+
+// Advance moves the clock forward by dt seconds and tells every observer.
+// It panics on negative dt: virtual time is monotone and a negative advance
+// always indicates a bug in the timing model. A clock nobody observes pays
+// one empty loop.
 func (c *Clock) Advance(dt float64) {
 	if dt < 0 {
 		panic(fmt.Sprintf("memsim: negative clock advance %g", dt))
 	}
 	c.now += dt
-	c.Tracer.ClockAdvance(c.now, dt)
-	c.Metrics.Tick(c.now, dt)
-	if c.OnAdvance != nil {
-		c.OnAdvance(c.now, dt)
+	for _, o := range c.observers {
+		o.OnAdvance(c.now, dt)
 	}
 }
 
-// Reset rewinds the clock to zero. Experiments reuse one platform across
-// iterations and reset between runs. An attached metrics registry rewinds
-// with the clock: its next sampling boundary and recorded samples belong
-// to the old timeline, so keeping them would make a reused clock+registry
-// pair observably different from a fresh one (stale boundary, no early
-// samples). Callers that need the old samples must detach the registry
-// (Metrics = nil) before resetting — Platform.Reset does.
-func (c *Clock) Reset() {
-	c.now = 0
-	c.Metrics.Rewind()
-}
+// Reset returns the clock to its zero value: time zero, no observers.
+// Experiments reuse one platform across runs and reset between them; what
+// an observer recorded belongs to its owner and is untouched, and the next
+// run attaches its own.
+func (c *Clock) Reset() { *c = Clock{} }

@@ -213,8 +213,13 @@ func (d *Device) Data(offset, size int64) []byte {
 // Counters returns a snapshot of the device's traffic counters.
 func (d *Device) Counters() Counters { return d.counters }
 
-// ResetCounters zeroes the traffic counters (between iterations/runs).
-func (d *Device) ResetCounters() { d.counters = Counters{} }
+// Reset zeroes the traffic counters and drops the per-run fault injector
+// (between runs). Capacity, profile and backing describe the device and
+// are kept.
+func (d *Device) Reset() {
+	d.counters = Counters{}
+	d.Faults = nil
+}
 
 // ReadTime returns the seconds needed to read n bytes with the given access
 // shape, without recording any traffic (used for projections).

@@ -98,7 +98,7 @@ func TestDeviceRecordsTraffic(t *testing.T) {
 	if got := c.BusyTime; math.Abs(got-(rt+wt)) > 1e-12 {
 		t.Errorf("busy time %v != read %v + write %v", got, rt, wt)
 	}
-	d.ResetCounters()
+	d.Reset()
 	if d.Counters() != (Counters{}) {
 		t.Errorf("reset counters = %+v", d.Counters())
 	}

@@ -1,6 +1,9 @@
 package memsim
 
-import "cachedarrays/internal/units"
+import (
+	"cachedarrays/internal/faults"
+	"cachedarrays/internal/units"
+)
 
 // ComputeProfile models the CPU side of the platform: the oneDNN-class
 // kernels of the paper run on 28 cores of a Xeon Platinum 8276L. Kernel
@@ -140,29 +143,31 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 // (180 GB DRAM + 1300 GB NVRAM, unbacked).
 func DefaultPlatform() *Platform { return NewPlatform(PlatformConfig{}) }
 
-// Reset rewinds the clock, zeroes both devices' counters, drains the copy
-// engine's asynchronous queue and detaches every per-run instrumentation
-// hook (tracer, metrics registry, invariant hook, fault injector), so a
-// reused platform is indistinguishable from a fresh one. Configuration
-// (capacities, profiles, Copier.Async, WriteThreadCap) is deliberately
-// kept — it describes the platform, not a run. The metrics registry is
-// detached *before* the clock resets: the finished run's samples belong
-// to its owner and must survive for export (Clock.Reset rewinds any
-// still-attached registry).
+// Reset returns every component to its just-built state — the clock (time
+// zero, no observers), both devices (counters, fault injector) and the copy
+// engine (queue, tracer, fault injector) — so a reused platform is
+// indistinguishable from a fresh one. Configuration (capacities, profiles,
+// Copier.Async, WriteThreadCap) is deliberately kept — it describes the
+// platform, not a run. Per-run state lives in the components and each
+// component's Reset drops its own, so a new per-run field is one edit next
+// to the field, not a line to remember here.
 func (p *Platform) Reset() {
-	p.Clock.Tracer = nil
-	p.Clock.Metrics = nil
-	p.Clock.OnAdvance = nil
-	p.Fast.Faults = nil
-	p.Slow.Faults = nil
 	p.Clock.Reset()
-	p.Fast.ResetCounters()
-	p.Slow.ResetCounters()
+	p.Fast.Reset()
+	p.Slow.Reset()
 	if p.Copier != nil {
-		p.Copier.Tracer = nil
-		p.Copier.Faults = nil
 		p.Copier.Reset()
 	}
+}
+
+// InjectFaults attaches inj to every component that consults a fault
+// injector (both devices and the copy engine). The injector is not a clock
+// observer — components ask it for a value — and like one it stays until
+// Reset.
+func (p *Platform) InjectFaults(inj *faults.Injector) {
+	p.Fast.Faults = inj
+	p.Slow.Faults = inj
+	p.Copier.Faults = inj
 }
 
 // Device returns the device of the given kind.

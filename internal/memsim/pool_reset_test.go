@@ -1,89 +1,66 @@
 package memsim
 
 import (
+	"reflect"
 	"testing"
 
 	"cachedarrays/internal/faults"
 	"cachedarrays/internal/metrics"
+	"cachedarrays/internal/tracing"
 	"cachedarrays/internal/units"
 )
 
-// TestClockResetRewindsMetrics is the regression test for the
-// platform-pooling sampling-boundary bug: Clock.Reset used to leave an
-// attached registry's next sampling boundary (and recorded samples) on
-// the old timeline, so a reused clock+registry pair skipped the early
-// samples a fresh pair records.
-func TestClockResetRewindsMetrics(t *testing.T) {
-	sampled := func(c *Clock) int {
-		reg := metrics.New(0.5)
-		reg.Gauge("g", func() float64 { return 1 })
-		c.Metrics = reg
-		for i := 0; i < 10; i++ {
-			c.Advance(0.3)
-		}
-		c.Metrics = nil
-		return reg.Samples()
-	}
-
-	fresh := &Clock{}
-	want := sampled(fresh)
-	if want == 0 {
-		t.Fatal("fresh clock recorded no samples")
-	}
-
-	reused := &Clock{}
-	warmup := metrics.New(0.5)
-	warmup.Gauge("g", func() float64 { return 1 })
-	reused.Metrics = warmup
-	reused.Advance(1.7) // leave the boundary mid-interval
-	reused.Reset()
-	if reused.Now() != 0 {
-		t.Fatalf("clock at %v after Reset", reused.Now())
-	}
-	if warmup.Samples() != 0 {
-		t.Fatalf("attached registry kept %d samples across Reset", warmup.Samples())
-	}
-	reused.Metrics = nil
-	if got := sampled(reused); got != want {
-		t.Fatalf("reused clock sampled %d times, fresh %d", got, want)
-	}
-}
-
-// TestPlatformResetDetachesHooks: Platform.Reset must clear every
-// per-run instrumentation hook (a pooled platform must never leak one
-// run's tracer, registry, audit hook or fault injector into the next
-// run) — while the detached registry keeps its samples for export.
+// TestPlatformResetDetachesHooks: Platform.Reset must drop every piece of
+// per-run instrumentation (a pooled platform must never leak one run's
+// tracer, registry, checker or fault injector into the next run) — while
+// the dropped registry keeps its samples for export. The closing DeepEqual
+// against a factory-fresh platform covers the fields nobody thought to
+// list: a per-run field Reset forgets fails here instead of leaking
+// between pooled runs.
 func TestPlatformResetDetachesHooks(t *testing.T) {
-	p := NewPlatform(PlatformConfig{
-		FastCapacity: units.MB, SlowCapacity: units.MB, CopyThreads: 2,
-	})
+	cfg := PlatformConfig{FastCapacity: units.MB, SlowCapacity: units.MB, CopyThreads: 2}
+	p := NewPlatform(cfg)
 	reg := metrics.New(1e-7) // a 64 KB copy advances only microseconds of virtual time
 	reg.Gauge("g", func() float64 { return 1 })
-	p.Clock.Metrics = reg
-	p.Clock.OnAdvance = func(now, dt float64) {}
+	rec := tracing.New(p.Clock.Now)
+	p.Clock.Observe(reg)
+	p.Clock.Observe(rec)
+	p.Copier.Tracer = rec
 
 	p.Copier.Copy(p.Slow, 0, p.Fast, 0, 64*units.KB)
-	if reg.Samples() == 0 {
-		t.Fatal("workload recorded no samples")
+	if reg.Samples() == 0 || len(rec.Events()) == 0 {
+		t.Fatal("workload recorded nothing")
 	}
 	got := reg.Samples()
 
-	// Attach injectors after the workload: the test only checks that
-	// Reset detaches them (a zero injector cannot serve traffic).
-	p.Fast.Faults = &faults.Injector{}
-	p.Slow.Faults = &faults.Injector{}
-	p.Copier.Faults = &faults.Injector{}
+	// Attach the injector after the workload: the test only checks that
+	// Reset detaches it (a zero injector cannot serve traffic).
+	p.InjectFaults(&faults.Injector{})
+	if p.Fast.Faults == nil || p.Slow.Faults == nil || p.Copier.Faults == nil {
+		t.Fatal("InjectFaults missed a component that consults an injector")
+	}
 
 	p.Reset()
-	if p.Clock.Tracer != nil || p.Clock.Metrics != nil || p.Clock.OnAdvance != nil {
-		t.Fatal("Platform.Reset left a clock hook attached")
+	if n := p.Clock.Observers(); n != 0 {
+		t.Fatalf("Platform.Reset left %d clock observers attached", n)
+	}
+	if p.Copier.Tracer != nil {
+		t.Fatal("Platform.Reset left the copy engine's tracer attached")
 	}
 	if p.Fast.Faults != nil || p.Slow.Faults != nil || p.Copier.Faults != nil {
 		t.Fatal("Platform.Reset left a fault injector attached")
 	}
-	// The finished run's samples belong to its owner: the registry was
-	// detached before the clock rewound, so they must survive.
+	// The finished run's samples belong to its owner and must survive.
 	if reg.Samples() != got {
-		t.Fatalf("Reset rewound the detached registry: %d samples, had %d", reg.Samples(), got)
+		t.Fatalf("Reset touched the dropped registry: %d samples, had %d", reg.Samples(), got)
 	}
+	if fresh := NewPlatform(cfg); !reflect.DeepEqual(p, fresh) {
+		t.Fatalf("used-then-Reset platform differs from a fresh one:\nreset %+v\nfresh %+v",
+			platformState(p), platformState(fresh))
+	}
+}
+
+// platformState flattens a platform's components for a failure message.
+func platformState(p *Platform) []any {
+	return []any{*p.Clock, *p.Fast, *p.Slow, *p.Copier, p.Compute}
 }

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cachedarrays/internal/units"
@@ -39,7 +40,8 @@ func TestCopyEngineResetAfterPlatformReset(t *testing.T) {
 // TestReusedPlatformMatchesFresh is the reset-semantics property test: a
 // platform that ran a workload and was Reset produces byte-identical
 // counters and timings to a factory-fresh platform running the same
-// workload — for both movement designs.
+// workload — for both movement designs — and is DeepEqual to it right
+// after the Reset.
 func TestReusedPlatformMatchesFresh(t *testing.T) {
 	workload := func(p *Platform) {
 		rng := rand.New(rand.NewSource(7))
@@ -67,6 +69,12 @@ func TestReusedPlatformMatchesFresh(t *testing.T) {
 		reused := mk()
 		workload(reused)
 		reused.Reset()
+		// Not just the fields compared below: every field, exported or
+		// not, of every component is back to its just-built value.
+		if fresh := mk(); !reflect.DeepEqual(reused, fresh) {
+			t.Errorf("async=%v: Reset platform differs from a fresh one:\nreset %+v\nfresh %+v",
+				async, platformState(reused), platformState(fresh))
+		}
 		workload(reused)
 
 		fresh := mk()
@@ -93,7 +101,7 @@ func TestReusedPlatformMatchesFresh(t *testing.T) {
 
 // TestCountersSubAcrossReset pins the snapshot-diff semantics the engine
 // relies on for per-iteration metrics: Sub of a later snapshot against an
-// earlier one isolates exactly the traffic in between, and ResetCounters
+// earlier one isolates exactly the traffic in between, and Reset
 // starts a clean epoch (snapshots must not be carried across it).
 func TestCountersSubAcrossReset(t *testing.T) {
 	d := NewDevice("dram", DRAM, units.MB, DRAMProfile())
@@ -114,7 +122,7 @@ func TestCountersSubAcrossReset(t *testing.T) {
 		t.Fatalf("delta busy time %v outside (0, total)", delta.BusyTime)
 	}
 
-	d.ResetCounters()
+	d.Reset()
 	if d.Counters() != (Counters{}) {
 		t.Fatalf("counters after reset: %+v", d.Counters())
 	}

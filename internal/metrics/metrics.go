@@ -15,8 +15,9 @@
 // advances the clock and never perturbs simulation state, so instrumented
 // runs are byte-identical to uninstrumented ones.
 //
-// Samples are taken by the virtual clock: Clock.Advance calls Tick after
-// every step, and the registry samples all series whenever the step
+// Samples are taken by the virtual clock: an enabled registry observes the
+// clock it was attached to (Clock.Observe), Clock.Advance calls OnAdvance
+// after every step, and the registry samples all series whenever the step
 // crossed a sampling boundary. Because virtual time moves in discrete
 // kernel/copy-sized steps, a sample is stamped with the first advance *at
 // or after* its boundary — deterministic for a deterministic simulation,
@@ -180,11 +181,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Tick is the clock hook: called after every virtual-time advance with the
-// new time and the step size. It samples all series when the step crossed
-// a sampling boundary, then arms the next boundary. The fast path (no
-// crossing) is one nil check and one comparison.
-func (r *Registry) Tick(now, dt float64) {
+// OnAdvance makes the registry a clock observer: called after every
+// virtual-time advance with the new time and the step size. It samples all
+// series when the step crossed a sampling boundary, then arms the next
+// boundary. The fast path (no crossing) is one nil check and one
+// comparison.
+func (r *Registry) OnAdvance(now, dt float64) {
 	if r == nil {
 		return
 	}
@@ -197,31 +199,13 @@ func (r *Registry) Tick(now, dt float64) {
 	}
 }
 
-// Rewind discards all samples and re-arms the first sampling boundary, so
-// a registry attached to a clock that rewinds to zero behaves exactly like
-// a freshly constructed one. Sample storage keeps its capacity: the next
-// run's sampling is allocation-free up to the previous run's length.
-// Clock.Reset calls this for any attached registry — without it, a reused
-// clock would leave the registry's next-boundary armed at the old run's
-// end and the new run would record no early samples.
-func (r *Registry) Rewind() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.next = r.interval
-	r.times = r.times[:0]
-	for _, c := range r.cols {
-		c.samples = c.samples[:0]
-	}
-}
-
 // Flush makes the series end with the run's final state at the given
 // time. If a sample already exists at exactly that time (the last clock
 // advance crossed a boundary) it is re-taken in place — state mutated
 // after the advance (end-of-iteration counters) must still land in the
-// final point. Runners call it once after the last iteration.
+// final point. Runners call it once after the last iteration and then take
+// the registry off the clock, so the flushed point stays the last even
+// while a shared clock keeps moving for other runs.
 func (r *Registry) Flush(now float64) {
 	if r == nil {
 		return

@@ -15,7 +15,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 		t.Fatal("nil registry claims to be enabled")
 	}
 	// Every entry point must be a no-op, not a panic.
-	r.Tick(1, 0.5)
+	r.OnAdvance(1, 0.5)
 	r.Flush(2)
 	r.SetMeta("model", "x")
 	r.CounterFunc("a", func() float64 { return 1 })
@@ -46,7 +46,7 @@ func TestSamplingCadence(t *testing.T) {
 	for _, dt := range []float64{0.3, 0.3, 0.3} {
 		now += dt
 		v += 1
-		r.Tick(now, dt)
+		r.OnAdvance(now, dt)
 	}
 	if r.Samples() != 0 {
 		t.Fatalf("sampled %d times before the first boundary", r.Samples())
@@ -54,7 +54,7 @@ func TestSamplingCadence(t *testing.T) {
 	// Crossing 1.0 samples once, even when the step overshoots.
 	now += 0.5 // 1.4
 	v = 10
-	r.Tick(now, 0.5)
+	r.OnAdvance(now, 0.5)
 	if r.Samples() != 1 {
 		t.Fatalf("samples = %d after first crossing, want 1", r.Samples())
 	}
@@ -62,13 +62,13 @@ func TestSamplingCadence(t *testing.T) {
 	// re-arms past the current time.
 	now += 3.0 // 4.4
 	v = 20
-	r.Tick(now, 3.0)
+	r.OnAdvance(now, 3.0)
 	if r.Samples() != 2 {
 		t.Fatalf("samples = %d after multi-interval step, want 2", r.Samples())
 	}
 	// The next boundary is 5.0, not a backlog of missed ones.
 	now += 0.1
-	r.Tick(now, 0.1)
+	r.OnAdvance(now, 0.1)
 	if r.Samples() != 2 {
 		t.Fatalf("backlogged boundary fired at t=%g", now)
 	}
@@ -86,7 +86,7 @@ func TestSamplingCadence(t *testing.T) {
 func TestFlushDeduplicatesFinalSample(t *testing.T) {
 	r := New(1.0)
 	r.Gauge("g", func() float64 { return 1 })
-	r.Tick(1.5, 1.5)
+	r.OnAdvance(1.5, 1.5)
 	if r.Samples() != 1 {
 		t.Fatalf("samples = %d", r.Samples())
 	}
@@ -109,9 +109,9 @@ func TestFlushDeduplicatesFinalSample(t *testing.T) {
 func TestLateRegistrationBackfills(t *testing.T) {
 	r := New(1.0)
 	r.Gauge("early", func() float64 { return 5 })
-	r.Tick(1, 1)
+	r.OnAdvance(1, 1)
 	r.Gauge("late", func() float64 { return 7 })
-	r.Tick(2, 1)
+	r.OnAdvance(2, 1)
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -144,9 +144,9 @@ func TestCSVRoundTrip(t *testing.T) {
 	c := r.Counter("copies")
 	r.Gauge("used_bytes", func() float64 { return 1e12 + 0.25 })
 	c.Add(3.5)
-	r.Tick(0.5, 0.5)
+	r.OnAdvance(0.5, 0.5)
 	c.Add(1)
-	r.Tick(1.0, 0.5)
+	r.OnAdvance(1.0, 0.5)
 
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
@@ -201,7 +201,7 @@ func TestSummaryRoundTripAndSelfDiff(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		c.Inc()
 		h.Observe(float64(i) * 1e-3)
-		r.Tick(float64(i)*0.25, 0.25)
+		r.OnAdvance(float64(i)*0.25, 0.25)
 	}
 	r.Flush(2.1)
 
@@ -340,7 +340,7 @@ func TestHistogramColumnsAllocFree(t *testing.T) {
 	now := 0.0
 	tick := func() {
 		now++
-		r.Tick(now, 1)
+		r.OnAdvance(now, 1)
 	}
 	tick() // first sample allocates the buffers (sampleChunk points each)
 	if avg := testing.AllocsPerRun(sampleChunk/2, tick); avg != 0 {

@@ -20,9 +20,7 @@ func faultSetup(t *testing.T, sched *faults.Schedule) (*memsim.Platform, *dm.Man
 	var inj *faults.Injector
 	if sched != nil {
 		inj = faults.New(*sched, p.Clock.Now)
-		p.Fast.Faults = inj
-		p.Slow.Faults = inj
-		p.Copier.Faults = inj
+		p.InjectFaults(inj)
 		m.SetFaults(inj)
 	}
 	pol := NewTiered(m, CALMP, nil)

@@ -1,6 +1,6 @@
 package tracing
 
-// Mux multiplexes one Recorder — the platform's single tracer slot —
+// Mux multiplexes one Recorder — a traced platform's one recorder —
 // across N tenant lanes. The cluster dispatcher switches the active lane
 // at every dispatch boundary, so each event lands in the lane of the
 // tenant that was running when it fired. Because exactly one tenant runs
@@ -35,8 +35,8 @@ func NewMux(now func() float64) *Mux {
 	return &Mux{rec: New(now), active: -1}
 }
 
-// Recorder returns the underlying recorder — the value to install in the
-// platform's tracer slot and to hand to the active tenant's layers.
+// Recorder returns the underlying recorder — the value to attach to the
+// platform and to hand to the active tenant's layers.
 func (m *Mux) Recorder() *Recorder { return m.rec }
 
 // Lane registers a tenant lane under the given name and returns its index.

@@ -48,7 +48,7 @@ func clusterFixture() []Event {
 	// Tenant c runs a mode that traces nothing engine-side; the mux still
 	// tags the platform's clock advances with its lane.
 	m.Switch(c)
-	r.ClockAdvance(1, 1)
+	r.OnAdvance(1, 1)
 
 	// Back to a for its finish.
 	m.Switch(a)

@@ -372,9 +372,9 @@ func (r *Recorder) Hint() string {
 // ---------------------------------------------------------------------------
 // Emitters (each nil-safe; one call site per instrumented action).
 
-// ClockAdvance records a virtual-clock advance: now is the time after the
-// advance, dt its size.
-func (r *Recorder) ClockAdvance(now, dt float64) {
+// OnAdvance records a virtual-clock advance (the recorder is a clock
+// observer): now is the time after the advance, dt its size.
+func (r *Recorder) OnAdvance(now, dt float64) {
 	if r == nil {
 		return
 	}

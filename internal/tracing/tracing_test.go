@@ -22,7 +22,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Hint() != "" {
 		t.Fatal("nil recorder has a hint")
 	}
-	r.ClockAdvance(1, 1)
+	r.OnAdvance(1, 1)
 	r.Xfer("dram", "nvram", 64, 0, 1, 4, 2, 1, 0.5)
 	r.Copy(1, 64, "fast", "slow", 0, 1)
 	r.DM(KindAlloc, 1, 64, "", "fast")
