@@ -31,15 +31,29 @@ func Main(m *testing.M, main func()) {
 // captured streams.
 func Run(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
+	return Start(t, args...)()
+}
+
+// Start launches the command with args and returns the function that
+// waits for it and reports what Run reports; a test starts several
+// before waiting for any to have the processes run side by side.
+func Start(t *testing.T, args ...string) (wait func() (code int, stdout, stderr string)) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), childEnv+"=1")
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
-	var exit *exec.ExitError
-	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
-		t.Fatalf("running %v: %v", args, err)
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("starting %v: %v", args, err)
 	}
-	return cmd.ProcessState.ExitCode(), out.String(), errOut.String()
+	return func() (int, string, string) {
+		t.Helper()
+		var exit *exec.ExitError
+		if err := cmd.Wait(); err != nil && !errors.As(err, &exit) {
+			t.Fatalf("running %v: %v", args, err)
+		}
+		return cmd.ProcessState.ExitCode(), out.String(), errOut.String()
+	}
 }
 
 // Rejects asserts the command refuses args the way every command reports

@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -226,5 +231,81 @@ func TestRouteReusesClusterCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(second, first) {
 		t.Fatalf("cached routed run differs from the first")
+	}
+}
+
+// legacyKeyV1 is the whole-run key this package computed before the
+// streamed model digest: the "cachedarrays-cluster v1" header, the same
+// field lines, and each job's SaveJSON text.
+func legacyKeyV1(t *testing.T, cfg Config) string {
+	t.Helper()
+	tenants, ecfg, err := prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "cachedarrays-cluster v1\nbaselines=%t\njobs=%d\n", cfg.Baselines != nil, len(tenants))
+	if err := sched.HashConfig(h, "platform", ecfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range tenants {
+		pre := fmt.Sprintf("job%d", tn.idx)
+		fmt.Fprintf(h, "%s.name=%s\n%s.mode=%s\n%s.arrival=%g\n", pre, tn.name, pre, tn.mode, pre, tn.job.Arrival)
+		if err := sched.HashConfig(h, pre+".cfg", tn.cfg); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s.model=", pre)
+		if err := tn.model.SaveJSON(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestV1ClusterEntryIsASilentMiss: an entry stored under the v1 key is
+// never asked for again — the run misses cleanly (no error, nothing
+// counted corrupt), stores under its v2 key, and leaves the old file
+// byte for byte alone.
+func TestV1ClusterEntryIsASilentMiss(t *testing.T) {
+	cfg := Config{Engine: cacheCfg, Jobs: BenchMix(11, 3)}
+	fresh, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	old, err := sched.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := legacyKeyV1(t, cfg)
+	if err := old.PutAny(v1, fresh); err != nil {
+		t.Fatal(err)
+	}
+	v1Path := filepath.Join(dir, v1+".json")
+	before, err := os.ReadFile(v1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err := sched.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sched = &sched.Scheduler{Cache: cache}
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 || st.Stores != 1 || st.Corrupt != 0 {
+		t.Errorf("stats over a v1 directory = %+v, want a clean miss and one store", st)
+	}
+	if !reflect.DeepEqual(got, fresh) {
+		t.Error("the re-simulated run differs from the one the v1 entry holds")
+	}
+	if after, err := os.ReadFile(v1Path); err != nil || string(after) != string(before) {
+		t.Errorf("the v1 entry was touched (read error: %v)", err)
+	}
+	if v2, err := Key(cfg); err != nil || v2 == v1 {
+		t.Errorf("v2 key %q (error %v) must differ from the v1 key", v2, err)
 	}
 }

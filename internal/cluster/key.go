@@ -3,7 +3,6 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"cachedarrays/internal/engine"
@@ -14,9 +13,9 @@ import (
 // SHA-256 over the canonical platform config plus, per job in submission
 // order, the job's name, canonical mode, arrival offset, canonical
 // per-job config (the Iterations override folded in) and the model's
-// deterministic JSON serialization — everything that shapes a byte of
-// the Result, and nothing that does not. Two deliberate departures from
-// the solo-cell key (sched.Key):
+// streamed binary digest (models.Model.WriteDigest) — everything that
+// shapes a byte of the Result, and nothing that does not. Two deliberate
+// departures from the solo-cell key (sched.Key):
 //
 //   - Job names are keyed. A solo run's name is a label outside the
 //     result, but tenant names live inside the cluster Result (Name,
@@ -42,7 +41,7 @@ func Key(cfg Config) (string, error) {
 // prepare it has to do anyway).
 func runKey(cfg Config, tenants []*tenant, ecfg engine.Config) (string, error) {
 	h := sha256.New()
-	fmt.Fprintf(h, "cachedarrays-cluster v1\nbaselines=%t\njobs=%d\n",
+	fmt.Fprintf(h, "cachedarrays-cluster v2\nbaselines=%t\njobs=%d\n",
 		cfg.Baselines != nil, len(tenants))
 	if err := sched.HashConfig(h, "platform", ecfg); err != nil {
 		return "", err
@@ -55,7 +54,7 @@ func runKey(cfg Config, tenants []*tenant, ecfg engine.Config) (string, error) {
 			return "", err
 		}
 		fmt.Fprintf(h, "%s.model=", pre)
-		if err := t.model.SaveJSON(h); err != nil {
+		if err := t.model.WriteDigest(h); err != nil {
 			return "", err
 		}
 	}
@@ -86,13 +85,4 @@ func cacheKey(cfg Config, tenants []*tenant, ecfg engine.Config) string {
 		return ""
 	}
 	return key
-}
-
-// decodeResult rebuilds a cluster result from a verified cache entry.
-func decodeResult(body []byte) (any, error) {
-	var r Result
-	if err := json.Unmarshal(body, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

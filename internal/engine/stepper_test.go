@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"crypto/sha256"
 	"reflect"
 	"testing"
 
@@ -32,12 +33,26 @@ func runEntry(m *models.Model, mode string, cfg Config) (*Result, error) {
 	}
 }
 
+// modelDigest is the SHA-256 of the model's WriteDigest stream: every
+// field of the graph.
+func modelDigest(t *testing.T, m *models.Model) [sha256.Size]byte {
+	t.Helper()
+	h := sha256.New()
+	if err := m.WriteDigest(h); err != nil {
+		t.Fatal(err)
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
 // TestStepperProtocol drives every canonical mode by hand and checks the
 // Stepper contract the cluster dispatcher relies on: Step returns the
 // platform clock and never goes back, the three misuse guards fire, the
 // heap is sampled in every mode, and a driven stepper is the Run* result.
+// Every mode runs on the one model and must leave it as it found it: a
+// built model is read-only, which is what lets a driver's cells share one.
 func TestStepperProtocol(t *testing.T) {
 	m := models.ResNet(50, 32)
+	pristine := modelDigest(t, m)
 	cfg := Config{Iterations: 2, CheckInvariants: true, SampleHeap: true,
 		FastCapacity: 2 * units.GB, SlowCapacity: 32 * units.GB}
 	if len(Modes) != 11 {
@@ -87,6 +102,9 @@ func TestStepperProtocol(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("hand-driven stepper differs from the Run* entry point")
+			}
+			if modelDigest(t, m) != pristine {
+				t.Fatal("the run wrote to its model")
 			}
 		})
 	}

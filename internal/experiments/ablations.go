@@ -44,12 +44,13 @@ func Ablations(opts Options) (*Table, error) {
 		{"async mover", "CA:LM", func(c *engine.Config) { c.AsyncMovement = true }},
 	}
 	var cells []sched.Cell
+	build := lazyModel(pm, opts.Scale)
 	for _, v := range variants {
 		cfg := opts.config()
 		v.mut(&cfg)
 		cells = append(cells, sched.Cell{
 			Name:  metrics.SafeName("ablations", v.name),
-			Build: lazyModel(pm, opts.Scale), Mode: v.mode, Cfg: cfg})
+			Build: build, Mode: v.mode, Cfg: cfg})
 	}
 	results, err := opts.runCells(cells)
 	if err != nil {

@@ -45,10 +45,11 @@ func Baselines(opts Options) (*Table, error) {
 	}
 	var cells []sched.Cell
 	for _, pm := range models.PaperLargeModels() {
+		build := lazyModel(pm, opts.Scale)
 		for _, v := range variants {
 			cells = append(cells, sched.Cell{
 				Name:  metrics.SafeName("baselines", pm.Name, v.label),
-				Build: lazyModel(pm, opts.Scale), Mode: v.mode, Cfg: v.cfg})
+				Build: build, Mode: v.mode, Cfg: v.cfg})
 		}
 	}
 	results, err := opts.runCells(cells)

@@ -36,34 +36,31 @@ func BeyondCNNs(opts Options) (*Table, error) {
 
 	// The LSTM's unrolled states (BPTT) total single-digit gigabytes, so
 	// it runs against a proportionally shrunk platform to stay
-	// tier-bound. The model builders are deterministic, so each cell gets
-	// a private instance (concurrent cells must not share a model).
+	// tier-bound. Both models are built here, once — the row names and
+	// the LSTM's platform come from the built graphs — and each row's six
+	// cells share the read-only model.
 	lcfg := models.DefaultLSTMConfig()
 	lcfg.SeqLen, lcfg.BatchSize = 512, 128
-	budget := models.LSTM(lcfg).PeakFootprint() / 3
+	lstm := models.LSTM(lcfg)
+	budget := lstm.PeakFootprint() / 3
 	lstmCfg := opts.config()
 	lstmCfg.FastCapacity = budget
-	lstmCfg.SlowCapacity = 16 * models.LSTM(lcfg).PeakFootprint()
+	lstmCfg.SlowCapacity = 16 * lstm.PeakFootprint()
 	lstmCfg.TwoLM = twolmConfigFor(budget)
 
 	rows := []struct {
-		name  string
-		build func() *models.Model
+		model *models.Model
 		cfg   engine.Config
 	}{
-		// One build per row resolves the display name; the per-cell
-		// builds below run lazily on the scheduler workers.
-		{models.Transformer(cfg).Name, func() *models.Model { return models.Transformer(cfg) }, opts.config()},
-		{models.LSTM(lcfg).Name, func() *models.Model { return models.LSTM(lcfg) }, lstmCfg},
+		{models.Transformer(cfg), opts.config()},
+		{lstm, lstmCfg},
 	}
 	var cells []sched.Cell
 	for _, rw := range rows {
-		build := rw.build
 		for _, mode := range ModeNames {
 			cells = append(cells, sched.Cell{
-				Name:  metrics.SafeName("beyond", rw.name, mode),
-				Build: func() (*models.Model, error) { return build(), nil },
-				Mode:  mode, Cfg: rw.cfg})
+				Name:  metrics.SafeName("beyond", rw.model.Name, mode),
+				Model: rw.model, Mode: mode, Cfg: rw.cfg})
 		}
 	}
 	results, err := opts.runCells(cells)
@@ -71,7 +68,7 @@ func BeyondCNNs(opts Options) (*Table, error) {
 		return nil, err
 	}
 	for ri, rw := range rows {
-		row := []string{rw.name}
+		row := []string{rw.model.Name}
 		for mi := range ModeNames {
 			row = append(row, secs(results[ri*len(ModeNames)+mi].IterTime))
 		}

@@ -6,7 +6,7 @@ import (
 
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/models"
-	"cachedarrays/internal/policy"
+	"cachedarrays/internal/sched"
 	"cachedarrays/internal/units"
 )
 
@@ -29,6 +29,8 @@ func CheckClaims(opts Options) ([]Claim, error) {
 		claims = append(claims, Claim{ID: id, Statement: statement, Measured: measured, Pass: pass})
 	}
 
+	s := opts.scheduler()
+	opts.Sched = s // one scheduler for the matrix, the claims' own runs and DLRM
 	mat, err := RunMatrix(opts)
 	if err != nil {
 		return nil, err
@@ -134,65 +136,57 @@ func CheckClaims(opts Options) ([]Claim, error) {
 			fmt.Sprintf("%.1f%% vs %.1f%%", 100*caV, 100*lmV), caV < lmV)
 	}
 
-	// --- Fig. 3 ---
+	// --- Fig. 3 and Fig. 7 ---
+	// The claims' own runs go through the scheduler like every driver's
+	// cells, so a filled cache serves them and they share results with
+	// the Fig. 3 / Fig. 7 cells whose configs coincide. They are checks,
+	// not figure cells: built on a bare config and never instrumented.
 	{
-		resnet := models.PaperLargeModels()[1].BuildScaled(opts.Scale)
+		resnet := lazyModel(models.PaperLargeModels()[1], opts.Scale)
+		dense := lazyModel(models.PaperSmallModels()[0], opts.Scale)
 		hcfg := engine.Config{Iterations: opts.Iterations, SampleHeap: true}
-		h0, err := engine.Run2LM(resnet, false, hcfg)
+		full := engine.Config{Iterations: opts.Iterations}
+		none, small := full, full
+		none.FastCapacity = engine.NVRAMOnly
+		small.FastCapacity = 30 * units.GB / int64(opts.Scale)
+		asyncCfg := small
+		asyncCfg.AsyncMovement = true
+		res, err := s.Run([]sched.Cell{
+			{Name: "claims-fig3-2lm0", Build: resnet, Mode: "2LM:0", Cfg: hcfg},
+			{Name: "claims-fig3-2lmM", Build: resnet, Mode: "2LM:M", Cfg: hcfg},
+			{Name: "claims-fig7-full", Build: dense, Mode: "CA:LM", Cfg: full},
+			{Name: "claims-fig7-nvram-only", Build: dense, Mode: "CA:LM", Cfg: none},
+			{Name: "claims-fig7-small", Build: dense, Mode: "CA:LM", Cfg: small},
+			{Name: "claims-fig7-small-async", Build: dense, Mode: "CA:LM", Cfg: asyncCfg},
+		})
 		if err != nil {
 			return nil, err
 		}
-		hm, err := engine.Run2LM(resnet, true, hcfg)
-		if err != nil {
-			return nil, err
-		}
+		h0, hm := res[0], res[1]
 		add("fig3.heap",
 			"without eager freeing the heap grows until the collector runs",
 			fmt.Sprintf("peaks %s vs %s", units.Bytes(h0.PeakHeap), units.Bytes(hm.PeakHeap)),
 			float64(h0.PeakHeap) >= 1.8*float64(hm.PeakHeap))
-	}
 
-	// --- Fig. 7 ---
-	{
-		dense := models.PaperSmallModels()[0].BuildScaled(opts.Scale)
-		full, err := engine.RunCA(dense, policy.CALM, engine.Config{Iterations: opts.Iterations})
-		if err != nil {
-			return nil, err
-		}
-		none, err := engine.RunCA(dense, policy.CALM,
-			engine.Config{Iterations: opts.Iterations, FastCapacity: engine.NVRAMOnly})
-		if err != nil {
-			return nil, err
-		}
-		small, err := engine.RunCA(dense, policy.CALM,
-			engine.Config{Iterations: opts.Iterations, FastCapacity: 30 * units.GB / int64(opts.Scale)})
-		if err != nil {
-			return nil, err
-		}
-		penalty := none.IterTime / full.IterTime
+		fullR, noneR, smallR, asyncR := res[2], res[3], res[4], res[5]
+		penalty := noneR.IterTime / fullR.IterTime
 		add("fig7.nvram-only",
 			"running with only NVRAM costs 3-4x",
 			fmt.Sprintf("%.1fx", penalty), penalty >= 3 && penalty <= 7)
-		recovered := (none.IterTime - small.IterTime) / (none.IterTime - full.IterTime)
+		recovered := (noneR.IterTime - smallR.IterTime) / (noneR.IterTime - fullR.IterTime)
 		add("fig7.small-dram",
 			"even a small amount of DRAM recovers most of that performance",
 			fmt.Sprintf("%.0f%% recovered at a 1/6 budget", 100*recovered), recovered >= 0.4)
-		async, err := engine.RunCA(dense, policy.CALM,
-			engine.Config{Iterations: opts.Iterations, FastCapacity: 30 * units.GB / int64(opts.Scale),
-				AsyncMovement: true})
-		if err != nil {
-			return nil, err
-		}
-		rel := math.Abs(async.IterTime-small.ProjectedAsyncTime) / small.ProjectedAsyncTime
+		rel := math.Abs(asyncR.IterTime-smallR.ProjectedAsyncTime) / smallR.ProjectedAsyncTime
 		add("fig7.async-projection",
 			"asynchronous movement would flatten the curve (projection, here implemented)",
-			fmt.Sprintf("measured %.1fs vs projected %.1fs", async.IterTime, small.ProjectedAsyncTime),
+			fmt.Sprintf("measured %.1fs vs projected %.1fs", asyncR.IterTime, smallR.ProjectedAsyncTime),
 			rel <= 0.15)
 	}
 
 	// --- §VI DLRM extension ---
 	{
-		r, err := RunDLRM(models.DefaultDLRMConfig())
+		r, err := memoDLRM(s, models.DefaultDLRMConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -27,10 +27,11 @@ func CXLPortability(opts Options) (*Table, error) {
 	cfg.SlowTier = "cxl"
 	var cells []sched.Cell
 	for _, pm := range models.PaperLargeModels() {
+		build := lazyModel(pm, opts.Scale)
 		for _, mode := range modes {
 			cells = append(cells, sched.Cell{
 				Name:  metrics.SafeName("cxl", pm.Name, mode),
-				Build: lazyModel(pm, opts.Scale), Mode: mode, Cfg: cfg})
+				Build: build, Mode: mode, Cfg: cfg})
 		}
 	}
 	results, err := opts.runCells(cells)

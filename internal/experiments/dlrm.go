@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"cachedarrays/internal/dm"
@@ -8,6 +10,7 @@ import (
 	"cachedarrays/internal/memsim"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/policy"
+	"cachedarrays/internal/sched"
 )
 
 // DLRMResult summarizes the §VI extension experiment: a DLRM-style
@@ -231,4 +234,24 @@ func RunDLRM(cfg models.DLRMConfig) (*DLRMResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// memoDLRM is RunDLRM through the scheduler's memo: the experiment is as
+// deterministic as an engine run, so a filled cache serves CheckClaims'
+// copy instead of rebuilding 65 k row objects. The key hashes every
+// DLRMConfig field under its own format header, which keeps it apart
+// from the engine and cluster key spaces. The result is shared with
+// other callers of the same scheduler: read-only.
+func memoDLRM(s *sched.Scheduler, cfg models.DLRMConfig) (*DLRMResult, error) {
+	h := sha256.New()
+	fmt.Fprintf(h, "cachedarrays-dlrm v1\n")
+	if err := sched.HashFields(h, "cfg", cfg); err != nil {
+		return nil, err
+	}
+	v, _, err := s.Memo(hex.EncodeToString(h.Sum(nil)), sched.DecodeJSON[DLRMResult],
+		func() (any, error) { return RunDLRM(cfg) })
+	if err != nil {
+		return nil, err
+	}
+	return v.(*DLRMResult), nil
 }

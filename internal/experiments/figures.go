@@ -72,10 +72,10 @@ func Fig3(opts Options, maxPoints int) (*Table, error) {
 	pm := models.PaperLargeModels()[1] // ResNet 200
 	cfg := opts.config()
 	cfg.SampleHeap = true
-	name := pm.BuildScaled(opts.Scale).Name
+	m := pm.BuildScaled(opts.Scale) // built here: the run names carry the model's name
 	results, err := opts.runCells([]sched.Cell{
-		{Name: metrics.SafeName("fig3", name, "2lm0"), Build: lazyModel(pm, opts.Scale), Mode: "2LM:0", Cfg: cfg},
-		{Name: metrics.SafeName("fig3", name, "2lmM"), Build: lazyModel(pm, opts.Scale), Mode: "2LM:M", Cfg: cfg},
+		{Name: metrics.SafeName("fig3", m.Name, "2lm0"), Model: m, Mode: "2LM:0", Cfg: cfg},
+		{Name: metrics.SafeName("fig3", m.Name, "2lmM"), Model: m, Mode: "2LM:M", Cfg: cfg},
 	})
 	if err != nil {
 		return nil, err
@@ -197,6 +197,7 @@ func Fig7Async(opts Options, budgets []int64) (*Table, error) {
 	}
 	var cells []sched.Cell
 	for _, pm := range models.PaperSmallModels() {
+		build := lazyModel(pm, opts.Scale)
 		for _, b := range budgets {
 			cfg := opts.config()
 			cfg.FastCapacity = b
@@ -204,9 +205,9 @@ func Fig7Async(opts Options, budgets []int64) (*Table, error) {
 			acfg.AsyncMovement = true
 			cells = append(cells,
 				sched.Cell{Name: metrics.SafeName("fig7async", pm.Name, fmt.Sprint(b), "sync"),
-					Build: lazyModel(pm, opts.Scale), Mode: "CA:LM", Cfg: cfg},
+					Build: build, Mode: "CA:LM", Cfg: cfg},
 				sched.Cell{Name: metrics.SafeName("fig7async", pm.Name, fmt.Sprint(b), "async"),
-					Build: lazyModel(pm, opts.Scale), Mode: "CA:LM", Cfg: acfg})
+					Build: build, Mode: "CA:LM", Cfg: acfg})
 		}
 	}
 	results, err := opts.runCells(cells)
@@ -249,12 +250,13 @@ func Fig7(opts Options, budgets []int64) (*Table, error) {
 	}
 	var cells []sched.Cell
 	for _, pm := range models.PaperSmallModels() {
+		build := lazyModel(pm, opts.Scale)
 		for _, b := range budgets {
 			cfg := opts.config()
 			cfg.FastCapacity = b
 			cells = append(cells, sched.Cell{
 				Name:  metrics.SafeName("fig7", pm.Name, fmt.Sprint(b)),
-				Build: lazyModel(pm, opts.Scale), Mode: "CA:LM", Cfg: cfg})
+				Build: build, Mode: "CA:LM", Cfg: cfg})
 		}
 	}
 	results, err := opts.runCells(cells)

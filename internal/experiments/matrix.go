@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/metrics"
@@ -92,13 +93,18 @@ type Matrix struct {
 	Results map[Cell]*engine.Result
 }
 
-// lazyModel defers a paper model's construction to the scheduler worker
-// that simulates the cell: drivers collect cells with cheap closures and
-// the graph build overlaps with other cells' simulation instead of
-// running serially in the collect loop. Each invocation builds a private
-// instance, so concurrent cells never share a model.
+// lazyModel defers a paper model's construction to the first scheduler
+// worker that needs it and hands the one built graph to every cell the
+// returned thunk is given to: drivers call it once per recipe, outside
+// their cell loop, so a driver builds each model once however many modes
+// and capacities it sweeps, and the build still overlaps with other
+// cells' simulation. Sharing is safe because a built model is read-only
+// — no engine mode writes to it (engine.TestStepperProtocol) — and it is
+// by recipe, not by name: the large and small tables both list
+// "DenseNet 264" and "ResNet 200" at different batch sizes.
 func lazyModel(pm models.PaperModel, scale int) func() (*models.Model, error) {
-	return func() (*models.Model, error) { return pm.BuildScaled(scale), nil }
+	build := sync.OnceValue(func() *models.Model { return pm.BuildScaled(scale) })
+	return func() (*models.Model, error) { return build(), nil }
 }
 
 // config returns the options' base engine config with iterations set —
@@ -110,11 +116,10 @@ func (o Options) config() engine.Config {
 }
 
 // RunMatrix executes every large network under every operating mode on
-// the scheduler. Each cell builds its own model lazily on its worker
-// (the builders are deterministic, and a private model per run removes
-// any chance of a data race between concurrent cells that would
-// otherwise share one *models.Model), so graph construction overlaps
-// with other cells' simulation instead of serializing collection.
+// the scheduler. The six cells of a network share one read-only model,
+// built lazily by whichever worker reaches it first (lazyModel), so
+// graph construction overlaps with other cells' simulation instead of
+// serializing collection.
 func RunMatrix(opts Options) (*Matrix, error) {
 	opts = opts.withDefaults()
 	cfg := opts.config()
@@ -126,10 +131,11 @@ func RunMatrix(opts Options) (*Matrix, error) {
 	)
 	for _, pm := range models.PaperLargeModels() {
 		mat.Models = append(mat.Models, pm.Name)
+		build := lazyModel(pm, opts.Scale)
 		for _, mode := range ModeNames {
 			cells = append(cells, sched.Cell{
 				Name:  metrics.SafeName("matrix", pm.Name, mode),
-				Build: lazyModel(pm, opts.Scale),
+				Build: build,
 				Mode:  mode,
 				Cfg:   cfg,
 			})

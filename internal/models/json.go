@@ -45,6 +45,8 @@ type jsonModel struct {
 	Kernels   []jsonKernel `json:"kernels"`
 }
 
+// kindNames maps the schema's kind strings to kinds; SaveJSON writes
+// TensorKind.String(), so the two must agree (TestKindNamesMatchString).
 var kindNames = map[string]TensorKind{
 	"weight":          Weight,
 	"weight-grad":     WeightGrad,
@@ -105,14 +107,7 @@ func (m *Model) SaveJSON(w io.Writer) error {
 	jm := jsonModel{Name: m.Name, BatchSize: m.BatchSize}
 	for i := range m.Tensors {
 		t := &m.Tensors[i]
-		name := ""
-		for k, v := range kindNames {
-			if v == t.Kind {
-				name = k
-				break
-			}
-		}
-		jm.Tensors = append(jm.Tensors, jsonTensor{Name: t.Name, Bytes: t.Bytes, Kind: name})
+		jm.Tensors = append(jm.Tensors, jsonTensor{Name: t.Name, Bytes: t.Bytes, Kind: t.Kind.String()})
 	}
 	for i := range m.Kernels {
 		k := &m.Kernels[i]

@@ -37,6 +37,10 @@ type Flags struct {
 	Cache           string
 }
 
+// CacheUsage is the -cache flag's help text, shared with cacheck, which
+// takes that one flag of this set.
+const CacheUsage = "content-addressed result cache directory: identical runs are served from disk instead of re-simulated (instrumented runs bypass it)"
+
 // Register installs the shared instrumentation flags on a flag set.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
@@ -56,8 +60,7 @@ func Register(fs *flag.FlagSet) *Flags {
 		"serve live metrics over HTTP on this address (Prometheus text at /metrics, expvar at /debug/vars)")
 	fs.IntVar(&f.Parallel, "parallel", runtime.GOMAXPROCS(0),
 		"concurrent simulation runs (each run stays deterministic; 1 = serial)")
-	fs.StringVar(&f.Cache, "cache", "",
-		"content-addressed result cache directory: identical runs are served from disk instead of re-simulated (instrumented runs bypass it)")
+	fs.StringVar(&f.Cache, "cache", "", CacheUsage)
 	return f
 }
 

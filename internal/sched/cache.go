@@ -114,21 +114,21 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// decodeEngineResult rebuilds an engine result from a verified disk
-// entry's body — the decode hook Get passes to GetAny.
-func decodeEngineResult(body []byte) (any, error) {
-	var r engine.Result
-	if err := json.Unmarshal(body, &r); err != nil {
+// DecodeJSON is the decode hook GetAny and Memo take for a value stored
+// as a *T: it rebuilds the value from a verified disk entry's JSON body.
+func DecodeJSON[T any](body []byte) (any, error) {
+	r := new(T)
+	if err := json.Unmarshal(body, r); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return r, nil
 }
 
 // Get returns the cached engine result for key, consulting memory first
 // and the backing directory second. Disk entries failing the integrity
 // check count as corrupt and miss (the caller recomputes and overwrites).
 func (c *Cache) Get(key string) (*engine.Result, bool) {
-	v, ok := c.GetAny(key, decodeEngineResult)
+	v, ok := c.GetAny(key, DecodeJSON[engine.Result])
 	if !ok {
 		return nil, false
 	}

@@ -13,7 +13,10 @@ import (
 
 // Key computes the content-addressed cache key of one run: a SHA-256 over
 // the canonical (default-resolved) engine config, the canonical mode name
-// and the model's deterministic JSON serialization. The run *name* is
+// and the model's streamed binary digest (models.Model.WriteDigest — every
+// field of the graph, length-prefixed, written straight into the hash).
+// The header versions the whole preimage: entries stored under an older
+// header are never found again, a clean miss. The run *name* is
 // deliberately not part of the key: two drivers submitting the same
 // (model, mode, config) cell — the baselines table re-running a matrix
 // cell, fig7async's synchronous points re-running fig7's — address the
@@ -30,12 +33,12 @@ func Key(model *models.Model, mode string, cfg engine.Config) (string, error) {
 		return "", err
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "cachedarrays-run v1\nmode=%s\n", canon)
-	if err := hashValue(h, "cfg", reflect.ValueOf(cfg.Canonical())); err != nil {
+	fmt.Fprintf(h, "cachedarrays-run v2\nmode=%s\n", canon)
+	if err := HashConfig(h, "cfg", cfg); err != nil {
 		return "", err
 	}
 	fmt.Fprintf(h, "model=")
-	if err := model.SaveJSON(h); err != nil {
+	if err := model.WriteDigest(h); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -49,7 +52,15 @@ func Key(model *models.Model, mode string, cfg engine.Config) (string, error) {
 // Configs carrying live state (a non-nil Metrics registry) are an error,
 // mirroring Key.
 func HashConfig(w io.Writer, prefix string, cfg engine.Config) error {
-	return hashValue(w, prefix, reflect.ValueOf(cfg.Canonical()))
+	return HashFields(w, prefix, cfg.Canonical())
+}
+
+// HashFields writes one name=value line per leaf field of v, field names
+// included, under the given prefix: the reflection walk behind Key and
+// HashConfig, for keys over other config structs (Memo callers). A field
+// it cannot canonicalize is an error, never skipped.
+func HashFields(w io.Writer, prefix string, v any) error {
+	return hashValue(w, prefix, reflect.ValueOf(v))
 }
 
 // hashValue writes a canonical name=value line per leaf field, recursing

@@ -47,8 +47,9 @@ type Cell struct {
 	// submitting driver's collect loop.
 	Model *models.Model
 	// Build constructs the cell's model on the worker (used when Model
-	// is nil). It must be deterministic and must return a private
-	// instance — concurrent cells never share a model.
+	// is nil). It must be deterministic. Cells may share one thunk and
+	// one built model — concurrent runs only read it — so a driver
+	// sweeping modes over a network builds that network once.
 	Build func() (*models.Model, error)
 	Mode  string
 	Cfg   engine.Config
@@ -280,7 +281,7 @@ func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 	var r *engine.Result
 	hit := false
 	if key != "" {
-		v, h, err := s.Memo(key, decodeEngineResult, func() (any, error) {
+		v, h, err := s.Memo(key, DecodeJSON[engine.Result], func() (any, error) {
 			return RunMode(m, c.Mode, c.Cfg)
 		})
 		if err != nil {
@@ -315,8 +316,8 @@ func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 // cache or dedup hit).
 //
 // Keys must be content hashes whose preimage starts with a
-// caller-specific format header (engine cells use "cachedarrays-run v1",
-// cluster runs "cachedarrays-cluster v1"), which keeps the shared key
+// caller-specific format header (engine cells use "cachedarrays-run v2",
+// cluster runs "cachedarrays-cluster v2"), which keeps the shared key
 // space collision-free. A scheduler without a Cache still single-flights;
 // it just recomputes on every settled miss.
 func (s *Scheduler) Memo(key string, decode func([]byte) (any, error), compute func() (any, error)) (any, bool, error) {
