@@ -156,7 +156,24 @@ func printStallTable(w io.Writer, events []tracing.Event, names map[uint64]strin
 	for _, r := range byKey {
 		rows = append(rows, r)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].seconds > rows[j].seconds })
+	// Rows come from map iteration: break every tie so equal stall times
+	// print in the same order on every run.
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.seconds != b.seconds {
+			return a.seconds > b.seconds
+		}
+		if a.count != b.count {
+			return a.count > b.count
+		}
+		if a.key.op != b.key.op {
+			return a.key.op < b.key.op
+		}
+		if a.key.kernel != b.key.kernel {
+			return a.key.kernel < b.key.kernel
+		}
+		return a.key.tensor < b.key.tensor
+	})
 	if len(rows) == 0 {
 		fmt.Fprintln(w, "\nno movement stalls recorded")
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,6 +113,51 @@ func TestStallTableEmptyTrace(t *testing.T) {
 	printStallTable(&buf, nil, nil, 0, 10)
 	if !strings.Contains(buf.String(), "no movement stalls recorded") {
 		t.Fatalf("empty trace output: %q", buf.String())
+	}
+}
+
+// TestStallTableTiesAreDeterministic is the regression test for rows
+// with equal stall seconds printing in map-iteration order: sites that
+// tie on seconds rank by count, then op, kernel and tensor, on every run.
+func TestStallTableTiesAreDeterministic(t *testing.T) {
+	events := []tracing.Event{
+		{Kind: tracing.KindBind, Obj: 1, Op: "a.weight"},
+		{Kind: tracing.KindBind, Obj: 2, Op: "b.weight"},
+		// Same seconds, more stalls: ranks first.
+		{Kind: tracing.KindStall, Op: "hint", KName: "k9", Dur: 0.5},
+		{Kind: tracing.KindStall, Op: "hint", KName: "k9", Dur: 0.5},
+	}
+	for _, k := range []string{"k3", "k1", "k2", "k0"} {
+		events = append(events, tracing.Event{Kind: tracing.KindStall, Op: "hint", KName: k, Dur: 1})
+	}
+	events = append(events,
+		tracing.Event{Kind: tracing.KindStall, Op: "wait", KName: "k1", Obj: 2, Dur: 1},
+		tracing.Event{Kind: tracing.KindStall, Op: "wait", KName: "k1", Obj: 1, Dur: 1},
+		tracing.Event{Kind: tracing.KindStall, Op: "drain", Dur: 1})
+	names := tensorNames(events)
+
+	var first bytes.Buffer
+	printStallTable(&first, events, names, 10, 20)
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		printStallTable(&buf, events, names, 10, 20)
+		if buf.String() != first.String() {
+			t.Fatalf("print %d differs:\n%s\nfirst:\n%s", i, buf.String(), first.String())
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(first.String()), "\n")[2:]
+	want := [][]string{
+		{"hint", "k9"}, {"drain", "(end", "of", "iteration)"},
+		{"hint", "k0"}, {"hint", "k1"}, {"hint", "k2"}, {"hint", "k3"},
+		{"wait", "k1", "a.weight"}, {"wait", "k1", "b.weight"},
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("want %d rows, got %d:\n%s", len(want), len(lines), first.String())
+	}
+	for i, fields := range want {
+		if got := strings.Fields(lines[i]); !slices.Equal(got[:len(fields)], fields) {
+			t.Fatalf("row %d = %q, want it to start %q:\n%s", i, lines[i], fields, first.String())
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ package pagemig
 
 import (
 	"fmt"
-	"slices"
 
 	"cachedarrays/internal/memsim"
 )
@@ -82,8 +81,9 @@ type Migrator struct {
 	// space.
 	touched int64
 	// Epoch's candidate lists, kept between epochs so a steady-state
-	// epoch allocates nothing.
-	slowHot, fastCold []cand
+	// epoch allocates nothing. fastCold holds negated hotness, so that
+	// "hotter first" orders it coldest first.
+	slowHot, fastCold hotOrder
 }
 
 // cand is one migration candidate: a page and its hotness at scan time.
@@ -174,21 +174,6 @@ func (m *Migrator) Access(addr, size int64, write bool, access memsim.Access) Ac
 	return AccessResult{Time: t, FastBytes: fastBytes, SlowBytes: slowBytes}
 }
 
-// hotterFirst and colderFirst order candidates by hotness alone; equally
-// hot pages compare equal. Spelled out because cmp.Compare's NaN ordering
-// — hotness is never NaN — costs a quarter of the sort.
-func hotterFirst(a, b cand) int {
-	switch {
-	case a.hot > b.hot:
-		return -1
-	case a.hot < b.hot:
-		return 1
-	}
-	return 0
-}
-
-func colderFirst(a, b cand) int { return hotterFirst(b, a) }
-
 // pageBytes is how much of page pg the address space backs: a full page,
 // except for the last one when the slow capacity is not a multiple of
 // the page size.
@@ -203,33 +188,37 @@ func (m *Migrator) pageBytes(pg int64) int64 {
 // page faults and TLB shootdowns).
 //
 // Which of several equally hot pages migrates when the budget or the
-// DRAM quota cuts a tie group is decided by the order the standard
-// library's unstable pdqsort leaves them in, and committed results
-// depend on it: the comparators below must stay "hotter first" and
-// "colder first" with ties equal, and the algorithm must stay
-// slices.SortFunc (TestEpochTieOrderPinned).
+// DRAM quota cuts a tie group is decided by the order pdqsort leaves
+// them in, and committed results depend on it. The sort is pagemig's
+// own copy of Go 1.24's (hotorder.go), so a toolchain cannot move that
+// order; the comparison must stay hotness alone with ties equal
+// (TestEpochTieOrderPinned).
 func (m *Migrator) Epoch() float64 {
 	m.stats.Epochs++
-	slowHot, fastCold := m.slowHot[:0], m.fastCold[:0]
+	// One pass collects the candidates and decays every page; each cand
+	// keeps the pre-decay hotness the loop below compares.
+	slowHot, fastCold := m.slowHot.c[:0], m.fastCold.c[:0]
 	for pg := int64(0); pg < m.touched; pg++ {
-		if m.hot[pg] > 0 && !m.inFast[pg] {
-			slowHot = append(slowHot, cand{pg, m.hot[pg]})
-		} else if m.inFast[pg] {
-			fastCold = append(fastCold, cand{pg, m.hot[pg]})
+		h := m.hot[pg]
+		if m.inFast[pg] {
+			fastCold = append(fastCold, cand{pg, -h})
+		} else if h > 0 {
+			slowHot = append(slowHot, cand{pg, h})
 		}
+		m.hot[pg] = h * m.cfg.Decay
 	}
-	m.slowHot, m.fastCold = slowHot, fastCold
-	slices.SortFunc(slowHot, hotterFirst)
-	slices.SortFunc(fastCold, colderFirst)
+	m.slowHot.reset(slowHot)
+	m.fastCold.reset(fastCold)
 
 	var elapsed float64
 	var moved int64
 	budget := m.cfg.MaxMigrateBytes
 	ci := 0
-	for _, s := range slowHot {
+	for i := range slowHot {
 		if budget > 0 && moved >= budget {
 			break
 		}
+		s := m.slowHot.at(i)
 		up := m.pageBytes(s.pg)
 		if m.fastUsed < m.fastQuota {
 			// Free DRAM: promotion costs one page copy up.
@@ -246,8 +235,8 @@ func (m *Migrator) Epoch() float64 {
 		if ci >= len(fastCold) {
 			break
 		}
-		victim := fastCold[ci]
-		if s.hot < victim.hot*m.cfg.PromoteMargin+1 {
+		victim := m.fastCold.at(ci) // victim.hot is negated
+		if s.hot < -victim.hot*m.cfg.PromoteMargin+1 {
 			break // remaining candidates are colder still
 		}
 		ci++
@@ -262,9 +251,6 @@ func (m *Migrator) Epoch() float64 {
 		m.stats.DemotedBytes += down
 		m.stats.PromotedBytes += up
 		moved += down + up
-	}
-	for pg := range m.hot[:m.touched] {
-		m.hot[pg] *= m.cfg.Decay
 	}
 	m.stats.MigrateTime += elapsed
 	return elapsed

@@ -11,7 +11,7 @@ import (
 )
 
 // epochReference is Epoch as it stood before the candidate buffers, the
-// touched-page bound and slices.SortFunc: fresh slices every call, a scan
+// touched-page bound and the lazy sort: fresh slices every call, a scan
 // and a decay over every page, sort.Slice. The differential tests below
 // hold Epoch to it bit for bit — including which members of a group of
 // equally hot pages end up on which side of a cut-off, which only the two
@@ -78,6 +78,22 @@ func (m *Migrator) epochReference() float64 {
 	m.stats.MigrateTime += elapsed
 	return elapsed
 }
+
+// hotterFirst and colderFirst are the orders Epoch's two candidate lists
+// come out in, as slices.SortFunc comparators: hotness alone, equally hot
+// pages equal. hotOrder is held to slices.SortFunc under them prefix by
+// prefix (hotorder_test.go).
+func hotterFirst(a, b cand) int {
+	switch {
+	case a.hot > b.hot:
+		return -1
+	case a.hot < b.hot:
+		return 1
+	}
+	return 0
+}
+
+func colderFirst(a, b cand) int { return hotterFirst(b, a) }
 
 const diffPage = 4096
 
@@ -276,9 +292,9 @@ func TestEpochMatchesReference(t *testing.T) {
 
 // TestEpochTieOrderPinned pins which pages of equally hot groups migrate
 // on one fixed stream. Nothing in the model prefers one such page over
-// another: the choice falls out of the swap sequence of the standard
-// library's unstable sort, and results/baselines.csv (the OS:page column)
-// is a function of it.
+// another: the choice falls out of the swap sequence of pagemig's own
+// unstable sort (hotorder.go), and results/baselines.csv (the OS:page
+// column) is a function of it.
 func TestEpochTieOrderPinned(t *testing.T) {
 	cfg := testCfg
 	cfg.MaxMigrateBytes = 1234 * diffPage
@@ -308,10 +324,11 @@ func TestEpochTieOrderPinned(t *testing.T) {
 	const want = "c5ef9c4fb367bedd602a9ac006815da4a55b372ee4df007c7c09695c5a7442a2"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("fast-page set after the fixed stream hashes to %s, want %s.\n"+
-			"Epoch breaks ties between equally hot pages by the order slices.SortFunc "+
-			"(the standard library's unstable pdqsort) leaves them in. If Epoch did not change, "+
-			"the Go toolchain's sort did: expect the OS:page rows of results/baselines.csv "+
-			"to move with it, and refresh them and this hash together.", got, want)
+			"Epoch breaks ties between equally hot pages by the order pagemig's own copy of "+
+			"Go 1.24's pdqsort (hotorder.go) leaves them in; a toolchain bump cannot move it. "+
+			"Something changed Epoch, its candidate order or hotorder.go's swaps: expect the "+
+			"OS:page rows of results/baselines.csv to move with it, and refresh them and this "+
+			"hash together only if that change is meant to change results.", got, want)
 	}
 }
 

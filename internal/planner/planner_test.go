@@ -1,8 +1,12 @@
 package planner
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
+	"cachedarrays/internal/memsim"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/units"
 )
@@ -76,6 +80,32 @@ func TestPlacementStrings(t *testing.T) {
 	}
 	if Placement(9).String() == "" {
 		t.Error("unknown placement renders empty")
+	}
+}
+
+// TestPlanTieOrderPinned pins the plans of the three paper large models
+// at the budget engine.RunPlanned derives from the default 180 GB DRAM
+// (97%, planned_run.go). Build orders tensors by benefit density with
+// sort.Slice; a tensor's bytes cancel out of that density, so ties are
+// the rule, and which of several equally dense tensors claims capacity
+// first is the standard library's unstable tie order — the AutoTM:plan
+// column of results/baselines.csv is a function of it.
+func TestPlanTieOrderPinned(t *testing.T) {
+	h := sha256.New()
+	for _, pm := range models.PaperLargeModels() {
+		p := Build(pm.Build(), memsim.DefaultFastCapacity*97/100, DefaultCostModel())
+		for id, pl := range p.Placement {
+			binary.Write(h, binary.LittleEndian, [3]int64{int64(pl), int64(p.OffloadAfter[id]), int64(p.RestoreBefore[id])})
+		}
+		binary.Write(h, binary.LittleEndian, p.FastBytesPeak)
+	}
+	const want = "f9e7bb813aa4a14c88465bb59ff2889507305c783c2c68614561c7b052b7c03c"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("plans of the paper large models hash to %s, want %s.\n"+
+			"Build breaks ties between equally dense tensors by the order sort.Slice "+
+			"(the standard library's unstable pdqsort) leaves them in. If Build did not change, "+
+			"the Go toolchain's sort did: expect the AutoTM:plan rows of results/baselines.csv "+
+			"to move with it, and refresh them and this hash together.", got, want)
 	}
 }
 
