@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,6 +24,81 @@ func TestOnlySelectsFigure(t *testing.T) {
 	code, stdout, stderr := clitest.Run(t, "-only", " CopyBW")
 	if code != 0 || !strings.Contains(stdout, "copy") {
 		t.Fatalf("exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// TestSuiteMatchesCommittedResults runs the whole suite at paper scale and
+// requires it to write exactly the committed results/*.csv files, byte for
+// byte. It then runs the suite again from the cache the first run filled
+// and requires the same files with nothing simulated, so the cache round
+// trip is proven for every figure at the scale the paper reports.
+func TestSuiteMatchesCommittedResults(t *testing.T) {
+	committed, err := filepath.Glob(filepath.Join("..", "..", "results", "*.csv"))
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("no committed results (%v)", err)
+	}
+	cacheDir := t.TempDir()
+	for _, pass := range []string{"cold", "cache-served"} {
+		out := t.TempDir()
+		code, _, stderr := clitest.Run(t, "-cache", cacheDir, "-outdir", out)
+		if code != 0 {
+			t.Fatalf("%s run: exit %d, stderr:\n%s", pass, code, stderr)
+		}
+		written, err := os.ReadDir(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(written) != len(committed) {
+			t.Errorf("%s run wrote %d files, results/ holds %d CSVs", pass, len(written), len(committed))
+		}
+		for _, path := range committed {
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := filepath.Base(path)
+			got, err := os.ReadFile(filepath.Join(out, name))
+			if err != nil {
+				t.Errorf("%s run: %v", pass, err)
+				continue
+			}
+			if diff := firstDiff(got, want); diff != "" {
+				t.Errorf("%s run: %s differs from results/%s at %s", pass, name, name, diff)
+			}
+		}
+		if pass == "cold" {
+			continue
+		}
+		summaries := regexp.MustCompile(`, (\d+) simulated`).FindAllStringSubmatch(stderr, -1)
+		if len(summaries) == 0 {
+			t.Errorf("cache-served run printed no scheduler summary:\n%s", stderr)
+		}
+		for _, m := range summaries {
+			if m[1] != "0" {
+				t.Errorf("cache-served run simulated:\n%s", stderr)
+				break
+			}
+		}
+	}
+}
+
+// firstDiff names the first line where got and want differ, or returns
+// "" if they are equal.
+func firstDiff(got, want []byte) string {
+	if string(got) == string(want) {
+		return ""
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; ; i++ {
+		if i == len(g) || i == len(w) || g[i] != w[i] {
+			line := func(l []string) string {
+				if i < len(l) {
+					return strconv.Quote(l[i])
+				}
+				return "end of file"
+			}
+			return fmt.Sprintf("line %d: got %s, want %s", i+1, line(g), line(w))
+		}
 	}
 }
 
@@ -110,8 +187,8 @@ func sameFiles(t *testing.T, a, b string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(da) != string(db) {
-			t.Errorf("%s differs between %s and %s", e.Name(), a, b)
+		if diff := firstDiff(db, da); diff != "" {
+			t.Errorf("%s differs between %s and %s at %s", e.Name(), a, b, diff)
 		}
 	}
 }

@@ -80,6 +80,14 @@ func TestCLIRunsAndPrintsSummary(t *testing.T) {
 }
 
 func TestCLIExitCodes(t *testing.T) {
+	// One tensor so large that rounding it to any allocator's alignment
+	// overflows int64: every mode must refuse it, not wrap around.
+	huge := filepath.Join(t.TempDir(), "huge.json")
+	if err := os.WriteFile(huge, []byte(`{"name": "huge", "batchSize": 1,
+		"tensors": [{"name": "a", "bytes": 9223372036854775800, "kind": "activation"}],
+		"kernels": [{"name": "k", "flops": 1, "writes": [0]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
 		name string
 		args []string
@@ -96,6 +104,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"faults on 2LM", []string{"-mode", "2LM:M", "-faults", "seed=1;allocfail:fast:t0=0,t1=100,p=1", "-check"}, 1, "mode 2LM:M injects no faults"},
 		{"faults on OS:page", []string{"-mode", "os", "-faults", "seed=1;allocfail:fast:t0=0,p=1"}, 1, "mode OS:page injects no faults"},
 		{"check on AutoTM", []string{"-mode", "plan", "-check"}, 1, "mode AutoTM audits nothing"},
+		{"tensor larger than the heap", []string{"-workload", huge}, 1, "allocating a: alloc: out of memory"},
 		{"trace on traceless mode", []string{"-mode", "2LM:0", "-trace", filepath.Join(t.TempDir(), "t.json")}, 1, "no trace"},
 	}
 	for _, tc := range tests {

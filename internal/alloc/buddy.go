@@ -3,6 +3,7 @@ package alloc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Buddy is a binary buddy allocator. Block sizes are powers of two between
@@ -243,4 +244,14 @@ func (b *Buddy) CheckInvariants() error {
 		return fmt.Errorf("alloc: buddy spans overrun capacity (%d)", cursor)
 	}
 	return nil
+}
+
+// sortedOffsets returns the allocated offsets in ascending order.
+func sortedOffsets(m map[int64]int) []int64 {
+	out := make([]int64, 0, len(m))
+	for off := range m {
+		out = append(out, off)
+	}
+	slices.Sort(out)
+	return out
 }

@@ -6,9 +6,9 @@ import (
 	"testing/quick"
 )
 
-// runEquivalenceTrace drives the indexed FreeList and the seed-scan
-// Reference through one identical random alloc/free/query trace and
-// fails on the first observable divergence. The indexed allocator must
+// runEquivalenceTrace drives the span-slice FreeList and the seed's
+// linked-list Reference through one identical random alloc/free/query
+// trace and fails on the first observable divergence. The FreeList must
 // be indistinguishable: same offsets from Alloc, same errors, same
 // statistics, same BlocksIn visit order.
 func runEquivalenceTrace(t *testing.T, fit Fit, seed int64, ops int) {
@@ -106,8 +106,8 @@ func runEquivalenceTrace(t *testing.T, fit Fit, seed int64, ops int) {
 }
 
 // TestFreeListMatchesReferenceQuick is the headline equivalence property:
-// for randomly seeded traces, the treap-indexed free list behaves exactly
-// like the seed O(n)-scan allocator under both fit policies.
+// for randomly seeded traces, the span-slice free list behaves exactly
+// like the seed linked-list allocator under both fit policies.
 func TestFreeListMatchesReferenceQuick(t *testing.T) {
 	for _, fit := range []Fit{FirstFit, BestFit} {
 		t.Run(fit.String(), func(t *testing.T) {

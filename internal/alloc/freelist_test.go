@@ -1,9 +1,9 @@
 package alloc
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +67,27 @@ func TestFreeListExhaustion(t *testing.T) {
 		t.Errorf("expected ErrExhausted, got %v", err)
 	}
 	checkInv(t, f)
+}
+
+// TestFreeListAllocBeyondCapacity: a request larger than the heap is
+// ErrExhausted under both fits, even one so close to MaxInt64 that
+// rounding it up to the alignment would overflow, and leaves the heap as
+// it was.
+func TestFreeListAllocBeyondCapacity(t *testing.T) {
+	for _, fit := range []Fit{FirstFit, BestFit} {
+		f := NewFreeList(1<<20, fit)
+		mustAlloc(t, f, 1000)
+		before := blockList(f)
+		for _, size := range []int64{1<<20 + 1, math.MaxInt64 - 10, math.MaxInt64} {
+			if off, err := f.Alloc(size); err != ErrExhausted {
+				t.Errorf("%v: Alloc(%d) = %d, %v; want ErrExhausted", fit, size, off, err)
+			}
+		}
+		checkInv(t, f)
+		if got := blockList(f); !slices.Equal(got, before) || f.Used() != before[0].size {
+			t.Errorf("%v: failed allocations changed the heap: blocks %v, used %d", fit, got, f.Used())
+		}
+	}
 }
 
 func TestFreeListRejectsBadSizes(t *testing.T) {
@@ -443,44 +464,21 @@ func TestQuickCompactionInvariants(t *testing.T) {
 	}
 }
 
-// treapDump renders both index treaps in preorder: the shape, not just
-// the in-order content CheckInvariants compares against the list.
-func treapDump(f *FreeList) string {
-	var sb strings.Builder
-	var walk func(b *block)
-	walk = func(b *block) {
-		if b == nil {
-			sb.WriteString(".")
-			return
-		}
-		fmt.Fprintf(&sb, "(%d/%d/%v/%d ", b.off, b.size, b.free, b.maxFree)
-		walk(b.left)
-		walk(b.right)
-		sb.WriteString(")")
-	}
-	walk(f.root)
-	sb.WriteString(" | ")
-	var swalk func(b *block)
-	swalk = func(b *block) {
-		if b == nil {
-			sb.WriteString(".")
-			return
-		}
-		fmt.Fprintf(&sb, "(%d/%d ", b.off, b.size)
-		swalk(b.sizeLeft)
-		swalk(b.sizeRight)
-		sb.WriteString(")")
-	}
-	swalk(f.sizeRoot)
-	return sb.String()
+// blockList returns f's allocated blocks in address order.
+func blockList(f *FreeList) []span {
+	var out []span
+	f.Blocks(func(off, size int64) bool {
+		out = append(out, span{off, size})
+		return true
+	})
+	return out
 }
 
 // TestCompactIdempotent: compacting a compact heap — allocated blocks
 // then at most one free block, what every iteration boundary's Defrag
 // finds once only persistent tensors remain — moves nothing, allocates
-// nothing, and leaves exactly the index a rebuild would: a heap that
-// reached the compact state through ordinary allocs and frees has the
-// same treap shapes as the one Compact rebuilt.
+// nothing, and leaves exactly the blocks Compact laid out, however the
+// heap came back to the compact state.
 func TestCompactIdempotent(t *testing.T) {
 	for _, fit := range []Fit{FirstFit, BestFit} {
 		f := NewFreeList(1<<20, fit)
@@ -498,7 +496,7 @@ func TestCompactIdempotent(t *testing.T) {
 			t.Fatal("fragmented heap compacted without moving anything")
 		}
 		checkInv(t, f)
-		rebuilt := treapDump(f)
+		packed := blockList(f)
 
 		// Leave and re-enter the compact state incrementally: transient
 		// blocks above the packed ones come and go in a scrambled order.
@@ -517,8 +515,47 @@ func TestCompactIdempotent(t *testing.T) {
 			t.Errorf("%v: Compact of a compact heap moved %d blocks", fit, moved)
 		}
 		checkInv(t, f)
-		if got := treapDump(f); got != rebuilt {
-			t.Errorf("%v: index of an incrementally compact heap differs from the rebuilt one:\n%s\n%s", fit, got, rebuilt)
+		if got := blockList(f); !slices.Equal(got, packed) {
+			t.Errorf("%v: blocks of an incrementally compact heap differ from the packed ones:\n%v\n%v", fit, got, packed)
+		}
+	}
+}
+
+// TestFreeListCycleAllocatesNothing: once its slices have grown, a heap
+// runs a whole alloc / fragmenting free / compact / drain cycle — what a
+// training iteration does to a device heap — without a Go allocation.
+func TestFreeListCycleAllocatesNothing(t *testing.T) {
+	for _, fit := range []Fit{FirstFit, BestFit} {
+		f := NewFreeList(1<<20, fit)
+		offs := make([]int64, 0, 32)
+		cycle := func() {
+			offs = offs[:0]
+			for i := 0; i < cap(offs); i++ {
+				off, err := f.Alloc(int64(512 + 64*(i%7)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				offs = append(offs, off)
+			}
+			for i := 0; i < len(offs); i += 2 {
+				f.Free(offs[i])
+			}
+			f.Compact(func(old, new, size int64) {})
+			offs = offs[:0]
+			f.Blocks(func(off, size int64) bool {
+				offs = append(offs, off)
+				return true
+			})
+			for _, off := range offs {
+				f.Free(off)
+			}
+		}
+		if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+			t.Errorf("%v: an alloc/free/compact cycle allocates %.1f objects, want 0", fit, avg)
+		}
+		checkInv(t, f)
+		if f.Used() != 0 || f.LargestFree() != f.Capacity() {
+			t.Errorf("%v: cycle left used=%d, largest free=%d", fit, f.Used(), f.LargestFree())
 		}
 	}
 }

@@ -5,14 +5,16 @@ import (
 	"testing"
 )
 
-// FuzzAllocFreeSequence drives the indexed FreeList and the scan-based
-// Reference allocator with the same operation sequence decoded from the
-// fuzz input and requires them to stay observably identical: same offsets,
-// same errors, same usage statistics, and both internally consistent at
-// every step. A free op whose argument is >= 0xF0 compacts both heaps
-// instead and requires the same move(old, new, size) sequence and the same
-// surviving blocks. The Reference allocator is the executable
-// specification; any divergence is a bug in the indexed fast path.
+// FuzzAllocFreeSequence drives the FreeList and the linked-list Reference
+// allocator with the same operation sequence decoded from the fuzz input
+// and requires them to stay observably identical: same offsets, same
+// errors, same usage statistics, the same SizeOf for every live block,
+// the same BlocksIn visits over a window decoded from each op's argument,
+// and both internally consistent at every step. A free op whose argument
+// is >= 0xF0 compacts both heaps instead and requires the same
+// move(old, new, size) sequence and the same surviving blocks. The
+// Reference allocator is the executable specification; any divergence is
+// a bug in the FreeList.
 func FuzzAllocFreeSequence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0x10, 0x81, 0x20, 0x02, 0x00, 0x41, 0x7f, 0x03, 0x01})
@@ -32,7 +34,7 @@ func FuzzAllocFreeSequence(f *testing.F) {
 		ref := NewReference(capacity, fit)
 		var live []int64 // offsets allocated and not yet freed
 
-		check := func(step int) {
+		check := func(step int, arg byte) {
 			if err := fl.CheckInvariants(); err != nil {
 				t.Fatalf("step %d: freelist: %v", step, err)
 			}
@@ -46,6 +48,20 @@ func FuzzAllocFreeSequence(f *testing.F) {
 			if fl.LargestFree() != ref.LargestFree() {
 				t.Fatalf("step %d: LargestFree diverged: %d vs %d",
 					step, fl.LargestFree(), ref.LargestFree())
+			}
+			for _, off := range live {
+				if fl.SizeOf(off) != ref.SizeOf(off) {
+					t.Fatalf("step %d: SizeOf(%d) diverged: %d vs %d", step, off, fl.SizeOf(off), ref.SizeOf(off))
+				}
+			}
+			// A window anywhere in the heap, up to a quarter of it long;
+			// length 0 visits only a block that strictly contains start.
+			start, length := int64(arg)<<8, int64(arg&0x1f)<<9
+			var got, want []blockMove
+			fl.BlocksIn(start, length, func(off, size int64) bool { got = append(got, blockMove{off, off, size}); return true })
+			ref.BlocksIn(start, length, func(off, size int64) bool { want = append(want, blockMove{off, off, size}); return true })
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: BlocksIn(%d, %d) diverged:\nfreelist  %v\nreference %v", step, start, length, got, want)
 			}
 		}
 
@@ -88,7 +104,7 @@ func FuzzAllocFreeSequence(f *testing.F) {
 				fl.Free(off)
 				ref.Free(off)
 			}
-			check(i)
+			check(i, arg)
 		}
 
 		// Drain: every remaining block must free cleanly and the heaps
@@ -97,7 +113,8 @@ func FuzzAllocFreeSequence(f *testing.F) {
 			fl.Free(off)
 			ref.Free(off)
 		}
-		check(len(ops))
+		live = nil
+		check(len(ops), 0)
 		if fl.Used() != 0 {
 			t.Fatalf("drained heap still has %d used bytes", fl.Used())
 		}

@@ -172,10 +172,9 @@ func (f *Reference) BlocksIn(start, length int64, fn func(offset, size int64) bo
 	}
 }
 
-// Compact is the seed FreeList.Compact kept verbatim (minus the treap
-// rebuild — Reference has no index): it re-creates every block, compact
-// heap or not. The fuzz target requires FreeList.Compact, which leaves an
-// already-compact heap untouched, to stay observably identical to it.
+// Compact is the seed FreeList.Compact kept verbatim: it re-creates every
+// block, compact heap or not. The fuzz target requires FreeList.Compact,
+// which slides its blocks in place, to stay observably identical to it.
 func (f *Reference) Compact(move func(oldOffset, newOffset, size int64)) {
 	var cursor int64
 	var blocks []*refBlock

@@ -1,46 +1,10 @@
 package experiments
 
 import (
-	"os"
 	"testing"
 
 	"cachedarrays/internal/sched"
 )
-
-// TestFig7MatchesCommittedCSV regenerates Fig. 7 at full paper scale on
-// the parallel, cached scheduler and compares it byte-for-byte against
-// the committed seed artifact: the scheduler, platform pooling and the
-// cache round-trip must not move a single digit of the published
-// results.
-func TestFig7MatchesCommittedCSV(t *testing.T) {
-	want, err := os.ReadFile("../../results/fig7.csv")
-	if err != nil {
-		t.Skipf("committed results not available: %v", err)
-	}
-	cache, err := sched.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &sched.Scheduler{Workers: 8, Cache: cache}
-	tab, err := Fig7(Options{Sched: s}, nil) // paper defaults: 4 iterations, scale 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.CSV(); got != string(want) {
-		t.Fatal("regenerated fig7.csv differs from the committed seed artifact")
-	}
-	// And once more entirely from the cache.
-	tab, err = Fig7(Options{Sched: s}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.CSV(); got != string(want) {
-		t.Fatal("cache-served fig7.csv differs from the committed seed artifact")
-	}
-	if st := cache.Stats(); st.Hits == 0 {
-		t.Fatalf("second pass did not hit the cache: %+v", st)
-	}
-}
 
 // TestSuiteCSVDeterminism is the suite-throughput acceptance test: the
 // same figure produced serially, in parallel, and from a warm result
