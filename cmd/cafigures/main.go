@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"cachedarrays/internal/experiments"
-	"cachedarrays/internal/models"
 	"cachedarrays/internal/profiling"
 	"cachedarrays/internal/runcfg"
 )
@@ -155,7 +154,7 @@ func main() {
 		emit("copysizes", experiments.CopyTransferSizes())
 	}
 	if want["dlrm"] {
-		r, err := experiments.RunDLRM(models.DefaultDLRMConfig())
+		r, err := experiments.DLRM(opts)
 		fatal(err)
 		emit("dlrm", r.Table())
 	}

@@ -64,7 +64,7 @@ func TestClusterCacheHitIdentity(t *testing.T) {
 	}
 
 	// Cross-process reuse: a new scheduler over the same directory decodes
-	// the disk entry (integrity-checked JSON) instead of simulating.
+	// the disk entry (integrity-checked binary) instead of simulating.
 	cache2, err := sched.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if key := cacheKey(cfg, tenants, ecfg); key != "" {
-		v, _, err := cfg.Sched.Memo(key, sched.DecodeJSON[Result], func() (any, error) {
+		v, _, err := cfg.Sched.Memo(key, sched.Decode[Result], func() (any, error) {
 			return simulate(cfg, tenants, ecfg)
 		})
 		if err != nil {

@@ -186,7 +186,7 @@ func CheckClaims(opts Options) ([]Claim, error) {
 
 	// --- §VI DLRM extension ---
 	{
-		r, err := memoDLRM(s, models.DefaultDLRMConfig())
+		r, err := DLRM(opts)
 		if err != nil {
 			return nil, err
 		}

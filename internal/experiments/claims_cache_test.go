@@ -59,7 +59,9 @@ func TestClaimsServedFromWarmCache(t *testing.T) {
 	}
 }
 
-// TestDLRMResultRoundTrips: a DLRM result decoded from its disk entry is
+// TestDLRMResultRoundTrips: DLRM with a scheduler memoizes the
+// experiment, so a second scheduler over the same cache directory gets
+// the result without simulating, decoded from its disk entry and
 // DeepEqual to the computed one — the obligation Scheduler.Memo puts on
 // every value it stores.
 func TestDLRMResultRoundTrips(t *testing.T) {
@@ -75,7 +77,7 @@ func TestDLRMResultRoundTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := &sched.Scheduler{Cache: cache}
-		got, err := memoDLRM(s, cfg)
+		got, err := DLRM(Options{Sched: s})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -236,9 +236,19 @@ func RunDLRM(cfg models.DLRMConfig) (*DLRMResult, error) {
 	return res, nil
 }
 
-// memoDLRM is RunDLRM through the scheduler's memo: the experiment is as
-// deterministic as an engine run, so a filled cache serves CheckClaims'
-// copy instead of rebuilding 65 k row objects. The key hashes every
+// DLRM runs the extension experiment at its default configuration, the
+// one entry point of cafigures' DLRM table and CheckClaims' vi.dlrm
+// claim. With opts.Sched set it goes through the scheduler's memo: the
+// experiment is as deterministic as an engine run, so a filled cache
+// serves it instead of rebuilding 65 k row objects.
+func DLRM(opts Options) (*DLRMResult, error) {
+	if opts.Sched == nil {
+		return RunDLRM(models.DefaultDLRMConfig())
+	}
+	return memoDLRM(opts.Sched, models.DefaultDLRMConfig())
+}
+
+// memoDLRM is RunDLRM through the scheduler's memo. The key hashes every
 // DLRMConfig field under its own format header, which keeps it apart
 // from the engine and cluster key spaces. The result is shared with
 // other callers of the same scheduler: read-only.
@@ -248,7 +258,7 @@ func memoDLRM(s *sched.Scheduler, cfg models.DLRMConfig) (*DLRMResult, error) {
 	if err := sched.HashFields(h, "cfg", cfg); err != nil {
 		return nil, err
 	}
-	v, _, err := s.Memo(hex.EncodeToString(h.Sum(nil)), sched.DecodeJSON[DLRMResult],
+	v, _, err := s.Memo(hex.EncodeToString(h.Sum(nil)), sched.Decode[DLRMResult],
 		func() (any, error) { return RunDLRM(cfg) })
 	if err != nil {
 		return nil, err

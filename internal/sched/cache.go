@@ -3,12 +3,12 @@ package sched
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,8 +17,12 @@ import (
 
 // cacheHeader versions the on-disk format; the trailing hex digest
 // authenticates the body, so a truncated, bit-flipped or hand-edited file
-// is detected and recomputed instead of trusted.
-const cacheHeader = "cachedarrays-cache v1"
+// is detected and recomputed instead of trusted. An entry under another
+// version of the header is stale: a miss, recomputed and overwritten.
+const (
+	cacheMagic  = "cachedarrays-cache "
+	cacheHeader = cacheMagic + "v2"
+)
 
 // cacheShards is the in-memory map's shard count. Keys are hex SHA-256
 // digests, so the leading bytes are uniform and a prefix shard spreads
@@ -37,7 +41,8 @@ type cacheShard struct {
 
 // Cache is a content-addressed store of engine results: a sharded
 // in-memory map for hits within one process, optionally backed by a
-// directory of integrity-checked JSON files for cross-process reuse.
+// directory of integrity-checked binary entries (entry.go) for
+// cross-process reuse.
 // Locking is sharded by key prefix and statistics are atomics, so
 // concurrent readers and writers of distinct keys share no lock at all.
 // All methods are safe for concurrent use; a nil *Cache never hits and
@@ -55,7 +60,7 @@ type CacheStats struct {
 	Hits    int64 // results served without simulation
 	Misses  int64 // lookups that fell through to the simulator
 	Stores  int64 // results written into the cache
-	Corrupt int64 // disk entries rejected by the integrity check
+	Corrupt int64 // disk entries failing the integrity check or the decode
 }
 
 // OpenCache returns a cache persisting to dir ("" = in-memory only). The
@@ -110,34 +115,29 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
+// path names a key's disk entry. The ".json" suffix outlives the JSON
+// format: the benchmark's per-layer sched.entry_kb row stats this path.
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
-}
-
-// DecodeJSON is the decode hook GetAny and Memo take for a value stored
-// as a *T: it rebuilds the value from a verified disk entry's JSON body.
-func DecodeJSON[T any](body []byte) (any, error) {
-	r := new(T)
-	if err := json.Unmarshal(body, r); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // Get returns the cached engine result for key, consulting memory first
 // and the backing directory second. Disk entries failing the integrity
 // check count as corrupt and miss (the caller recomputes and overwrites).
 func (c *Cache) Get(key string) (*engine.Result, bool) {
-	v, ok := c.GetAny(key, DecodeJSON[engine.Result])
+	v, ok := c.GetAny(key, Decode[engine.Result])
 	if !ok {
 		return nil, false
 	}
 	return v.(*engine.Result), true
 }
 
-// GetAny is Get for an arbitrary value type: decode rebuilds the value
-// from a verified disk entry's JSON body (in-memory hits return the
-// stored pointer directly and never invoke it). Callers must pair a key
+// GetAny is Get for an arbitrary value type: decode (Decode[T] for a
+// value stored as a *T) rebuilds the value from a verified disk entry's
+// body (in-memory hits return the stored pointer directly and never
+// invoke it). A stale entry — another format version, or a type whose
+// fingerprint no longer matches — is a plain miss; one failing the
+// integrity check or the decode counts as corrupt. Callers must pair a key
 // space with one decode shape — the format header hashed into every key
 // guarantees engine and cluster entries never alias.
 func (c *Cache) GetAny(key string, decode func([]byte) (any, error)) (any, bool) {
@@ -159,7 +159,7 @@ func (c *Cache) GetAny(key string, decode func([]byte) (any, error)) (any, bool)
 			s.mu.Unlock()
 			c.hits.Add(1)
 			return v, true
-		} else if !errors.Is(err, fs.ErrNotExist) {
+		} else if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errStale) {
 			c.corrupt.Add(1)
 		}
 	}
@@ -168,7 +168,7 @@ func (c *Cache) GetAny(key string, decode func([]byte) (any, error)) (any, bool)
 }
 
 // load reads and verifies one disk entry: a header line binding the
-// format version to the body's SHA-256, then the JSON-encoded value.
+// format version to the body's SHA-256, then the binary body.
 func (c *Cache) load(key string, decode func([]byte) (any, error)) (any, error) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
@@ -179,6 +179,9 @@ func (c *Cache) load(key string, decode func([]byte) (any, error)) (any, error) 
 		return nil, fmt.Errorf("sched: cache entry %s: missing header", key)
 	}
 	header, body := string(data[:nl]), data[nl+1:]
+	if strings.HasPrefix(header, cacheMagic) && !strings.HasPrefix(header, cacheHeader+" ") {
+		return nil, errStale
+	}
 	want := fmt.Sprintf("%s %x", cacheHeader, sha256.Sum256(body))
 	if header != want {
 		return nil, fmt.Errorf("sched: cache entry %s: integrity check failed", key)
@@ -193,13 +196,19 @@ func (c *Cache) load(key string, decode func([]byte) (any, error)) (any, error) 
 // Put stores an engine result under key (see PutAny).
 func (c *Cache) Put(key string, r *engine.Result) error { return c.PutAny(key, r) }
 
-// PutAny stores a JSON-marshalable value under key, in memory and (when
-// backed) on disk via a temp-file rename so concurrent readers never
-// observe a partial entry. Encoding and disk I/O run outside any lock:
+// PutAny stores v, a non-nil *T whose type Decode[T] can rebuild, under
+// key, in memory and (when backed) on disk via a temp-file rename so
+// concurrent readers never observe a partial entry. A type the entry
+// codec cannot encode is an error naming the field, and nothing is
+// stored. Encoding and disk I/O run outside any lock:
 // concurrent writers only touch their key's shard for the map insert.
 func (c *Cache) PutAny(key string, v any) error {
 	if c == nil {
 		return nil
+	}
+	ec, err := codecOf(v)
+	if err != nil {
+		return err
 	}
 	s := c.shard(key)
 	s.mu.Lock()
@@ -209,10 +218,7 @@ func (c *Cache) PutAny(key string, v any) error {
 	if c.dir == "" {
 		return nil
 	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("sched: cache encode: %w", err)
-	}
+	body := ec.encode(v)
 	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
 	if err != nil {
 		return err

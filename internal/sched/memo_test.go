@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -9,14 +8,6 @@ import (
 type memoVal struct {
 	N int
 	S string
-}
-
-func decodeMemoVal(body []byte) (any, error) {
-	var v memoVal
-	if err := json.Unmarshal(body, &v); err != nil {
-		return nil, err
-	}
-	return &v, nil
 }
 
 // TestMemoCachesAndCounts pins Memo's contract on one scheduler: the
@@ -34,14 +25,14 @@ func TestMemoCachesAndCounts(t *testing.T) {
 		calls++
 		return &memoVal{N: calls, S: "x"}, nil
 	}
-	v1, hit, err := s.Memo("memo-a", decodeMemoVal, compute)
+	v1, hit, err := s.Memo("memo-a", Decode[memoVal], compute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("first call reported a hit")
 	}
-	v2, hit, err := s.Memo("memo-a", decodeMemoVal, compute)
+	v2, hit, err := s.Memo("memo-a", Decode[memoVal], compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +45,7 @@ func TestMemoCachesAndCounts(t *testing.T) {
 	if v1.(*memoVal) != v2.(*memoVal) {
 		t.Fatal("repeat call did not share the settled pointer")
 	}
-	if _, hit, err = s.Memo("memo-b", decodeMemoVal, compute); err != nil || hit {
+	if _, hit, err = s.Memo("memo-b", Decode[memoVal], compute); err != nil || hit {
 		t.Fatalf("distinct key: hit=%v err=%v, want fresh compute", hit, err)
 	}
 	if calls != 2 {
@@ -73,7 +64,7 @@ func TestMemoDiskDecode(t *testing.T) {
 	}
 	s1 := &Scheduler{Cache: c1}
 	want := &memoVal{N: 42, S: "answer"}
-	if _, _, err := s1.Memo("memo-disk", decodeMemoVal, func() (any, error) { return want, nil }); err != nil {
+	if _, _, err := s1.Memo("memo-disk", Decode[memoVal], func() (any, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +73,7 @@ func TestMemoDiskDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := &Scheduler{Cache: c2}
-	v, hit, err := s2.Memo("memo-disk", decodeMemoVal, func() (any, error) {
+	v, hit, err := s2.Memo("memo-disk", Decode[memoVal], func() (any, error) {
 		t.Fatal("compute ran despite a disk entry")
 		return nil, nil
 	})
@@ -107,7 +98,7 @@ func TestMemoNilCache(t *testing.T) {
 		return &memoVal{N: calls}, nil
 	}
 	for i := 1; i <= 2; i++ {
-		v, hit, err := s.Memo("memo-nocache", decodeMemoVal, compute)
+		v, hit, err := s.Memo("memo-nocache", Decode[memoVal], compute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,13 +120,13 @@ func TestMemoError(t *testing.T) {
 	}
 	s := &Scheduler{Cache: cache}
 	boom := errors.New("boom")
-	if _, _, err := s.Memo("memo-err", decodeMemoVal, func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := s.Memo("memo-err", Decode[memoVal], func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
 	}
 	if st := cache.Stats(); st.Stores != 0 {
 		t.Fatalf("failed compute stored %d entries", st.Stores)
 	}
-	v, hit, err := s.Memo("memo-err", decodeMemoVal, func() (any, error) { return &memoVal{N: 7}, nil })
+	v, hit, err := s.Memo("memo-err", Decode[memoVal], func() (any, error) { return &memoVal{N: 7}, nil })
 	if err != nil || hit {
 		t.Fatalf("retry: hit=%v err=%v", hit, err)
 	}

@@ -281,7 +281,7 @@ func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 	var r *engine.Result
 	hit := false
 	if key != "" {
-		v, h, err := s.Memo(key, DecodeJSON[engine.Result], func() (any, error) {
+		v, h, err := s.Memo(key, Decode[engine.Result], func() (any, error) {
 			return RunMode(m, c.Mode, c.Cfg)
 		})
 		if err != nil {
@@ -310,8 +310,9 @@ func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 // and computes+stores on a miss, so a key is probed exactly once per
 // settled result; every caller shares the settled pointer, so results
 // must be treated as read-only. The computation must be deterministic
-// and its value JSON-round-trippable — the same obligations the
-// simulation's byte-identity tests prove for engine results. The second
+// and its value a *T that round-trips through the binary cache entry
+// (PutAny, Decode[T]) — the same obligations the simulation's
+// byte-identity tests prove for engine results. The second
 // return reports whether the value arrived without this caller computing (a
 // cache or dedup hit).
 //
