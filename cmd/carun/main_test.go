@@ -103,6 +103,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"negative metrics interval", []string{"-metrics", "x.csv", "-metrics-interval", "-1"}, 1, "metrics-interval"},
 		{"faults on 2LM", []string{"-mode", "2LM:M", "-faults", "seed=1;allocfail:fast:t0=0,t1=100,p=1", "-check"}, 1, "mode 2LM:M injects no faults"},
 		{"faults on OS:page", []string{"-mode", "os", "-faults", "seed=1;allocfail:fast:t0=0,p=1"}, 1, "mode OS:page injects no faults"},
+		{"NaN fault factor", []string{"-mode", "CA:LM", "-faults", "seed=1;bw:nvram:t0=0,factor=NaN"}, 1, "factor outside (0,1]"},
 		{"check on AutoTM", []string{"-mode", "plan", "-check"}, 1, "mode AutoTM audits nothing"},
 		{"tensor larger than the heap", []string{"-workload", huge}, 1, "allocating a: alloc: out of memory"},
 		{"trace on traceless mode", []string{"-mode", "2LM:0", "-trace", filepath.Join(t.TempDir(), "t.json")}, 1, "no trace"},

@@ -15,8 +15,9 @@
 //   - internal/engine, internal/experiments — executors and the
 //     table/figure harness
 //
-// Command-line tools live under cmd/ (carun, casweep, cafigures) and
-// runnable examples under examples/. The benchmarks in bench_test.go
-// regenerate every table and figure of the paper's evaluation; see
-// EXPERIMENTS.md for the paper-versus-measured record.
+// Command-line tools live under cmd/ (carun, cafigures, cacheck and
+// more) and runnable examples under examples/. cafigures regenerates
+// every table and figure of the paper's evaluation, and go run ./bench
+// is the one benchmark; see EXPERIMENTS.md for the paper-versus-measured
+// record.
 package cachedarrays

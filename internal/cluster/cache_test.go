@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -234,38 +235,56 @@ func TestRouteReusesClusterCache(t *testing.T) {
 	}
 }
 
-// legacyKeyV1 is the whole-run key this package computed before the
-// streamed model digest: the "cachedarrays-cluster v1" header, the same
-// field lines, and each job's SaveJSON text.
-func legacyKeyV1(t *testing.T, cfg Config) string {
+// textConfigLines is the config hash keys used up to the v2 headers: one
+// name=value line per leaf of the canonical config, by a reflection
+// walk. It survives only as this fixture, to rebuild keys of the older
+// formats. Keyed configs hold no slices and only nil pointers.
+func textConfigLines(w io.Writer, name string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			textConfigLines(w, name+"."+v.Type().Field(i).Name, v.Field(i))
+		}
+	case reflect.Pointer:
+		fmt.Fprintf(w, "%s=nil\n", name)
+	default:
+		fmt.Fprintf(w, "%s=%v\n", name, v.Interface())
+	}
+}
+
+// legacyKey is the whole-run key this package computed under an older
+// header: "cachedarrays-cluster v1" followed each job's config lines with
+// its model's SaveJSON text, "cachedarrays-cluster v2" with its streamed
+// digest.
+func legacyKey(t *testing.T, version int, cfg Config) string {
 	t.Helper()
 	tenants, ecfg, err := prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "cachedarrays-cluster v1\nbaselines=%t\njobs=%d\n", cfg.Baselines != nil, len(tenants))
-	if err := sched.HashConfig(h, "platform", ecfg); err != nil {
-		t.Fatal(err)
-	}
+	fmt.Fprintf(h, "cachedarrays-cluster v%d\nbaselines=%t\njobs=%d\n", version, cfg.Baselines != nil, len(tenants))
+	textConfigLines(h, "platform", reflect.ValueOf(ecfg.Canonical()))
 	for _, tn := range tenants {
 		pre := fmt.Sprintf("job%d", tn.idx)
 		fmt.Fprintf(h, "%s.name=%s\n%s.mode=%s\n%s.arrival=%g\n", pre, tn.name, pre, tn.mode, pre, tn.job.Arrival)
-		if err := sched.HashConfig(h, pre+".cfg", tn.cfg); err != nil {
-			t.Fatal(err)
-		}
+		textConfigLines(h, pre+".cfg", reflect.ValueOf(tn.cfg.Canonical()))
 		fmt.Fprintf(h, "%s.model=", pre)
-		if err := tn.model.SaveJSON(h); err != nil {
+		write := tn.model.WriteDigest
+		if version == 1 {
+			write = tn.model.SaveJSON
+		}
+		if err := write(h); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestV1ClusterEntryIsASilentMiss: an entry stored under the v1 key is
-// never asked for again — the run misses cleanly (no error, nothing
-// counted corrupt), stores under its v2 key, and leaves the old file
-// byte for byte alone.
+// TestV1ClusterEntryIsASilentMiss: entries stored under the v1 and v2
+// keys are never asked for again — the run misses cleanly (no error,
+// nothing counted corrupt), stores under its v3 key, and leaves the old
+// files byte for byte alone.
 func TestV1ClusterEntryIsASilentMiss(t *testing.T) {
 	cfg := Config{Engine: cacheCfg, Jobs: BenchMix(11, 3)}
 	fresh, err := Run(cfg)
@@ -277,14 +296,27 @@ func TestV1ClusterEntryIsASilentMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := legacyKeyV1(t, cfg)
-	if err := old.PutAny(v1, fresh); err != nil {
-		t.Fatal(err)
+	legacy := []string{legacyKey(t, 1, cfg), legacyKey(t, 2, cfg)}
+	// The keys builds of those formats computed for this run: they pin
+	// the fixture to the real old preimages.
+	for i, want := range []string{
+		"7491fdec8d6feac90f3141ff60f473494d40c85a132eab41d89c0991f33ed9d6",
+		"08ef23a36332f4d5e22147b5c1ef44c737d5825f866a7288f249596010dd0b02",
+	} {
+		if legacy[i] != want {
+			t.Fatalf("v%d fixture key = %s, want %s", i+1, legacy[i], want)
+		}
 	}
-	v1Path := filepath.Join(dir, v1+".json")
-	before, err := os.ReadFile(v1Path)
-	if err != nil {
-		t.Fatal(err)
+	before := map[string]string{}
+	for _, k := range legacy {
+		if err := old.PutAny(k, fresh); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, k+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[k] = string(b)
 	}
 
 	cache, err := sched.OpenCache(dir)
@@ -297,15 +329,17 @@ func TestV1ClusterEntryIsASilentMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 || st.Stores != 1 || st.Corrupt != 0 {
-		t.Errorf("stats over a v1 directory = %+v, want a clean miss and one store", st)
+		t.Errorf("stats over a v1/v2 directory = %+v, want a clean miss and one store", st)
 	}
 	if !reflect.DeepEqual(got, fresh) {
-		t.Error("the re-simulated run differs from the one the v1 entry holds")
+		t.Error("the re-simulated run differs from the one the old entries hold")
 	}
-	if after, err := os.ReadFile(v1Path); err != nil || string(after) != string(before) {
-		t.Errorf("the v1 entry was touched (read error: %v)", err)
+	for k, b := range before {
+		if after, err := os.ReadFile(filepath.Join(dir, k+".json")); err != nil || string(after) != b {
+			t.Errorf("the old entry %s was touched (read error: %v)", k, err)
+		}
 	}
-	if v2, err := Key(cfg); err != nil || v2 == v1 {
-		t.Errorf("v2 key %q (error %v) must differ from the v1 key", v2, err)
+	if v3, err := Key(cfg); err != nil || before[v3] != "" {
+		t.Errorf("v3 key %q (error %v) must differ from the old keys", v3, err)
 	}
 }

@@ -89,10 +89,10 @@ type Config struct {
 	// Finish.
 	TenantMetrics func(label string) *metrics.Registry
 	// Sched, when non-nil, memoizes the whole cluster run through the
-	// scheduler's content-addressed result cache and single-flight group:
-	// an identical (platform, job list, baselines) run is served
+	// scheduler's content-addressed result cache: an identical
+	// (platform, job list, baselines) run is served
 	// reflect.DeepEqual-identical from the cache instead of re-simulated,
-	// and concurrent identical runs simulate once. Instrumented runs —
+	// and with a cache, concurrent identical runs simulate once. Instrumented runs —
 	// tracing, fault injection, invariant audits, metrics (cluster-level
 	// or TenantMetrics) — always bypass, exactly like solo engine cells.
 	Sched *sched.Scheduler
@@ -205,7 +205,7 @@ type tenant struct {
 // Run executes the cluster: all jobs on one shared platform. When
 // cfg.Sched is set and the run carries no instrumentation, the whole
 // cluster result is memoized in the scheduler's content-addressed cache
-// (see Key) and concurrent identical runs are single-flighted.
+// (see Key) and concurrent identical runs wait on one cache entry.
 func Run(cfg Config) (*Result, error) {
 	tenants, ecfg, err := prepare(cfg)
 	if err != nil {

@@ -52,7 +52,7 @@ func (q *scanQueue) remove() {}
 
 // RunScanReference executes the cluster with the pre-heap O(N)
 // linear-scan dispatcher kept as the executable reference. It always
-// simulates — no cache, no single flight — so the differential tests
+// simulates — no cache, no in-flight dedup — so the differential tests
 // compare two fresh simulations.
 func RunScanReference(cfg Config) (*Result, error) {
 	tenants, ecfg, err := prepare(cfg)

@@ -14,8 +14,10 @@ import (
 // order, the job's name, canonical mode, arrival offset, canonical
 // per-job config (the Iterations override folded in) and the model's
 // streamed binary digest (models.Model.WriteDigest) — everything that
-// shapes a byte of the Result, and nothing that does not. Two deliberate
-// departures from the solo-cell key (sched.Key):
+// shapes a byte of the Result, and nothing that does not. Configs enter
+// in their entry-codec form (sched.WriteKey); the per-job text lines
+// separate the jobs. Two deliberate departures from the solo-cell key
+// (sched.Key):
 //
 //   - Job names are keyed. A solo run's name is a label outside the
 //     result, but tenant names live inside the cluster Result (Name,
@@ -28,7 +30,7 @@ import (
 //     the presence is hashed.
 //
 // The format header keeps the cluster key space disjoint from the solo
-// key space inside the one shared cache and flight group.
+// key space inside the one shared cache table.
 func Key(cfg Config) (string, error) {
 	tenants, ecfg, err := prepare(cfg)
 	if err != nil {
@@ -41,16 +43,16 @@ func Key(cfg Config) (string, error) {
 // prepare it has to do anyway).
 func runKey(cfg Config, tenants []*tenant, ecfg engine.Config) (string, error) {
 	h := sha256.New()
-	fmt.Fprintf(h, "cachedarrays-cluster v2\nbaselines=%t\njobs=%d\n",
+	fmt.Fprintf(h, "cachedarrays-cluster v3\nbaselines=%t\njobs=%d\n",
 		cfg.Baselines != nil, len(tenants))
-	if err := sched.HashConfig(h, "platform", ecfg); err != nil {
+	if err := sched.WriteKey(h, ecfg.Canonical()); err != nil {
 		return "", err
 	}
 	for _, t := range tenants {
 		pre := fmt.Sprintf("job%d", t.idx)
 		fmt.Fprintf(h, "%s.name=%s\n%s.mode=%s\n%s.arrival=%g\n",
 			pre, t.name, pre, t.mode, pre, t.job.Arrival)
-		if err := sched.HashConfig(h, pre+".cfg", t.cfg); err != nil {
+		if err := sched.WriteKey(h, t.cfg.Canonical()); err != nil {
 			return "", err
 		}
 		fmt.Fprintf(h, "%s.model=", pre)

@@ -48,8 +48,8 @@ type RouterConfig struct {
 	// any byte of the result.
 	Workers int
 	// Baselines is passed through to every platform's cluster run (the
-	// scheduler is safe for concurrent use and single-flights duplicate
-	// solo runs across platforms).
+	// scheduler is safe for concurrent use, and with a cache its table
+	// dedups solo runs shared across platforms).
 	Baselines *sched.Scheduler
 	// Sched is passed through to every platform's cluster run: each
 	// platform's whole result is memoized under its own cluster key, so

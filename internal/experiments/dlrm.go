@@ -254,8 +254,8 @@ func DLRM(opts Options) (*DLRMResult, error) {
 // other callers of the same scheduler: read-only.
 func memoDLRM(s *sched.Scheduler, cfg models.DLRMConfig) (*DLRMResult, error) {
 	h := sha256.New()
-	fmt.Fprintf(h, "cachedarrays-dlrm v1\n")
-	if err := sched.HashFields(h, "cfg", cfg); err != nil {
+	fmt.Fprintf(h, "cachedarrays-dlrm v2\n")
+	if err := sched.WriteKey(h, cfg); err != nil {
 		return nil, err
 	}
 	v, _, err := s.Memo(hex.EncodeToString(h.Sum(nil)), sched.Decode[DLRMResult],

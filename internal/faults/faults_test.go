@@ -198,6 +198,18 @@ func TestParseErrors(t *testing.T) {
 		"copystall:t0=0",
 		"allocfail:fast:t0=-1",
 		"allocfail:fast:zzz=1",
+		// Non-finite values pass a range check written as two
+		// comparisons; each parameter rejects them.
+		"allocfail:fast:t0=NaN,p=0.5",
+		"allocfail:fast:t0=Inf",
+		"allocfail:fast:t0=0,t1=NaN",
+		"allocfail:fast:t0=0,t1=+Inf",
+		"copystall:nvram:t0=0,stall=NaN",
+		"copystall:nvram:t0=0,stall=Inf",
+		"allocfail:fast:t0=0,p=NaN",
+		"allocfail:fast:t0=0,p=-Inf",
+		"bw:nvram:t0=0,factor=NaN",
+		"bw:nvram:t0=0,factor=Inf",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
@@ -207,4 +219,37 @@ func TestParseErrors(t *testing.T) {
 	if s, err := Parse(" ; "); err != nil || len(s.Episodes) != 0 {
 		t.Fatalf("empty spec: %v %+v", err, s)
 	}
+}
+
+// FuzzFaultSpec feeds arbitrary specs to Parse. It must never panic, and
+// every schedule it accepts must be one the injector can run: finite,
+// non-negative times, a probability in [0,1], a bandwidth factor in
+// (0,1] and a positive shrink size. Malformed values are what slipped
+// through before, not crashes.
+func FuzzFaultSpec(f *testing.F) {
+	f.Add("seed=42;allocfail:fast:t0=0.2,t1=0.6,p=0.5;bw:nvram:t0=1s,t1=2s,factor=0.1;shrink:fast:t0=3s,bytes=20GB")
+	f.Add("seed=1;bw:nvram:t0=0,factor=NaN")
+	f.Add("copystall:nvram:t0=0,stall=Inf")
+	f.Add("allocfail:fast:t0=NaN,p=0.5")
+	f.Add("allocfail:fast:t0=0,p=NaN")
+	f.Add("allocfail:fast:t0=0,t1=+Inf")
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) && x >= 0 }
+		for _, e := range s.Episodes {
+			switch {
+			case !finite(e.T0) || !finite(e.T1) || !finite(e.Stall):
+				t.Fatalf("%q: accepted non-finite or negative times %+v", spec, e)
+			case !(e.Prob >= 0 && e.Prob <= 1):
+				t.Fatalf("%q: accepted probability %v", spec, e.Prob)
+			case !(e.Factor > 0 && e.Factor <= 1) && (e.Kind == Bandwidth || e.Factor != 0):
+				t.Fatalf("%q: accepted factor %v", spec, e.Factor)
+			case e.Kind == CapacityShrink && e.Bytes <= 0:
+				t.Fatalf("%q: accepted shrink of %d bytes", spec, e.Bytes)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -98,12 +99,12 @@ func parseEpisode(clause string) (Episode, error) {
 			ep.T1, err = parseSeconds(val)
 		case "p":
 			ep.Prob, err = strconv.ParseFloat(val, 64)
-			if err == nil && (ep.Prob < 0 || ep.Prob > 1) {
+			if err == nil && !(ep.Prob >= 0 && ep.Prob <= 1) { // NaN fails too
 				err = fmt.Errorf("probability outside [0,1]")
 			}
 		case "factor":
 			ep.Factor, err = strconv.ParseFloat(val, 64)
-			if err == nil && (ep.Factor <= 0 || ep.Factor > 1) {
+			if err == nil && !(ep.Factor > 0 && ep.Factor <= 1) { // NaN fails too
 				err = fmt.Errorf("factor outside (0,1]")
 			}
 		case "stall":
@@ -154,6 +155,9 @@ func parseSeconds(v string) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad duration: %v", err)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("non-finite duration")
 	}
 	if f < 0 {
 		return 0, fmt.Errorf("negative duration")

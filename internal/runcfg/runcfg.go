@@ -82,8 +82,8 @@ type Session struct {
 	cache *sched.Cache
 
 	// schedOnce memoizes the session's scheduler: one instance serves
-	// every batch a command submits, so the single-flight group and the
-	// lifetime simulation/dedup counters span all of its figures.
+	// every batch a command submits, so the cache table and the lifetime
+	// simulation/dedup counters span all of its figures.
 	schedOnce sync.Once
 	sched     *sched.Scheduler
 
@@ -132,8 +132,8 @@ func (f *Flags) Start(multi bool, status io.Writer) (*Session, error) {
 // bound, the -cache result store (nil when off) and a progress line on
 // progress (usually stderr, keeping -csv stdout machine-readable; nil
 // disables it). The instance is memoized — every call returns the same
-// scheduler, so concurrent batches share one single-flight group and
-// identical cells dedup across a command's whole figure sweep. The
+// scheduler, so concurrent batches share one cache table and identical
+// cells dedup across a command's whole figure sweep. The
 // first call's progress writer wins.
 func (s *Session) Scheduler(progress io.Writer) *sched.Scheduler {
 	s.schedOnce.Do(func() {

@@ -248,7 +248,7 @@ func TestSchedulerFlags(t *testing.T) {
 }
 
 // TestSchedulerMemoized: every Scheduler call on a session returns the
-// same instance — one single-flight group and one lifetime counter set
+// same instance — one cache table and one lifetime counter set
 // span all of a command's batches — and the first progress writer wins.
 func TestSchedulerMemoized(t *testing.T) {
 	f := parseFlags(t, "-parallel", "3")

@@ -24,35 +24,52 @@ const (
 	cacheHeader = cacheMagic + "v2"
 )
 
-// cacheShards is the in-memory map's shard count. Keys are hex SHA-256
-// digests, so the leading bytes are uniform and a prefix shard spreads
-// concurrent writers evenly. 64 shards keep the chance of two of
-// GOMAXPROCS workers colliding on one lock small.
-const cacheShards = 64
-
-// cacheShard is one slice of the in-memory index behind its own short
-// lock: concurrent Get/Put on different key prefixes never contend.
-// Values are untyped: engine results and cluster results share the store
-// (their content-hash key spaces are disjoint by format header).
-type cacheShard struct {
-	mu  sync.Mutex
-	mem map[string]any
-}
-
-// Cache is a content-addressed store of engine results: a sharded
-// in-memory map for hits within one process, optionally backed by a
-// directory of integrity-checked binary entries (entry.go) for
-// cross-process reuse.
-// Locking is sharded by key prefix and statistics are atomics, so
-// concurrent readers and writers of distinct keys share no lock at all.
+// Cache is a content-addressed store of engine results: one keyed table
+// for hits within one process, optionally backed by a directory of
+// integrity-checked binary entries (entry.go) for cross-process reuse.
+// Values are untyped: engine results, cluster results and the DLRM table
+// share the table (their key spaces are disjoint by format header).
 // All methods are safe for concurrent use; a nil *Cache never hits and
 // never stores.
 type Cache struct {
 	dir string
 
-	shards [cacheShards]cacheShard
+	// mu guards table, which maps a key to its one entry: in flight
+	// while a Memo caller computes it, settled once that is done.
+	mu    sync.Mutex
+	table map[string]*entry
 
 	hits, misses, stores, corrupt atomic.Int64
+}
+
+// entry is one key's value. While done is open the key is in flight and
+// v, err are the computing caller's alone; closing done publishes them.
+// A failed entry leaves the table before done closes, so an entry a
+// lookup finds settled always holds a value.
+type entry struct {
+	done chan struct{}
+	v    any
+	err  error
+}
+
+// settledEntry returns an entry already holding v.
+func settledEntry(v any) *entry {
+	e := &entry{done: make(chan struct{}), v: v}
+	close(e.done)
+	return e
+}
+
+// settled reports whether e holds a value.
+func (e *entry) settled() bool {
+	if e == nil {
+		return false
+	}
+	select {
+	case <-e.done:
+		return e.err == nil
+	default:
+		return false
+	}
 }
 
 // CacheStats counts the cache's traffic.
@@ -71,35 +88,7 @@ func OpenCache(dir string) (*Cache, error) {
 			return nil, fmt.Errorf("sched: cache dir: %w", err)
 		}
 	}
-	c := &Cache{dir: dir}
-	for i := range c.shards {
-		c.shards[i].mem = map[string]any{}
-	}
-	return c, nil
-}
-
-// shard maps a key to its lock shard by prefix. Keys are hex digests;
-// two leading hex digits give 256 uniform buckets folded onto the shard
-// count. Short keys (tests, ad-hoc callers) fold what is there.
-func (c *Cache) shard(key string) *cacheShard {
-	var h uint
-	for i := 0; i < len(key) && i < 2; i++ {
-		h = h<<4 + uint(hexVal(key[i]))
-	}
-	return &c.shards[h%cacheShards]
-}
-
-func hexVal(b byte) byte {
-	switch {
-	case b >= '0' && b <= '9':
-		return b - '0'
-	case b >= 'a' && b <= 'f':
-		return b - 'a' + 10
-	case b >= 'A' && b <= 'F':
-		return b - 'A' + 10
-	default:
-		return b & 0xf
-	}
+	return &Cache{dir: dir, table: map[string]*entry{}}, nil
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -139,24 +128,35 @@ func (c *Cache) Get(key string) (*engine.Result, bool) {
 // fingerprint no longer matches — is a plain miss; one failing the
 // integrity check or the decode counts as corrupt. Callers must pair a key
 // space with one decode shape — the format header hashed into every key
-// guarantees engine and cluster entries never alias.
+// guarantees engine and cluster entries never alias. A key still in
+// flight is not in memory yet: GetAny never waits.
 func (c *Cache) GetAny(key string, decode func([]byte) (any, error)) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
-	s := c.shard(key)
-	s.mu.Lock()
-	v, ok := s.mem[key]
-	s.mu.Unlock()
-	if ok {
+	c.mu.Lock()
+	e := c.table[key]
+	c.mu.Unlock()
+	if e.settled() {
 		c.hits.Add(1)
-		return v, true
+		return e.v, true
 	}
+	v, ok := c.fetch(key, decode)
+	if ok {
+		c.mu.Lock()
+		if _, taken := c.table[key]; !taken {
+			c.table[key] = settledEntry(v)
+		}
+		c.mu.Unlock()
+	}
+	return v, ok
+}
+
+// fetch is the disk tier of a lookup. It counts the lookup's outcome: a
+// hit, a miss, or a miss on a corrupt entry.
+func (c *Cache) fetch(key string, decode func([]byte) (any, error)) (any, bool) {
 	if c.dir != "" {
 		if v, err := c.load(key, decode); err == nil {
-			s.mu.Lock()
-			s.mem[key] = v
-			s.mu.Unlock()
 			c.hits.Add(1)
 			return v, true
 		} else if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errStale) {
@@ -197,42 +197,94 @@ func (c *Cache) load(key string, decode func([]byte) (any, error)) (any, error) 
 func (c *Cache) Put(key string, r *engine.Result) error { return c.PutAny(key, r) }
 
 // PutAny stores v, a non-nil *T whose type Decode[T] can rebuild, under
-// key, in memory and (when backed) on disk via a temp-file rename so
-// concurrent readers never observe a partial entry. A type the entry
-// codec cannot encode is an error naming the field, and nothing is
-// stored. Encoding and disk I/O run outside any lock:
-// concurrent writers only touch their key's shard for the map insert.
+// key: on disk first (when backed), then in the table. A type the entry
+// codec cannot encode, or a failed write, is an error and nothing is
+// stored.
 func (c *Cache) PutAny(key string, v any) error {
 	if c == nil {
 		return nil
 	}
+	if err := c.persist(key, v); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.table[key] = settledEntry(v)
+	c.mu.Unlock()
+	return nil
+}
+
+// persist writes v's disk entry (when backed) via a temp-file rename, so
+// concurrent readers never observe a partial entry, and counts the store.
+// Encoding and disk I/O run outside the table's lock.
+func (c *Cache) persist(key string, v any) error {
 	ec, err := codecOf(v)
 	if err != nil {
 		return err
 	}
-	s := c.shard(key)
-	s.mu.Lock()
-	s.mem[key] = v
-	s.mu.Unlock()
+	if c.dir != "" {
+		body := ec.encode(v)
+		tmp, err := os.CreateTemp(c.dir, key+".tmp*")
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(tmp, "%s %x\n", cacheHeader, sha256.Sum256(body))
+		if err == nil {
+			_, err = tmp.Write(body)
+		}
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp.Name(), c.path(key))
+		}
+		if err != nil {
+			os.Remove(tmp.Name())
+			return err
+		}
+	}
 	c.stores.Add(1)
-	if c.dir == "" {
-		return nil
+	return nil
+}
+
+// memo is Scheduler.Memo's walk of the table. The first caller for a key
+// claims an in-flight entry, then fills it from disk or from compute
+// (storing the computed value). Callers finding the entry in flight wait
+// for it and report shared; callers finding it settled report a hit. A
+// failed computation leaves the table before its waiters wake with its
+// error, so the next caller retries.
+func (c *Cache) memo(key string, decode func([]byte) (any, error), compute func() (any, error)) (v any, hit, shared bool, err error) {
+	c.mu.Lock()
+	e, found := c.table[key]
+	ready := e.settled()
+	if !found {
+		e = &entry{done: make(chan struct{})}
+		c.table[key] = e
 	}
-	body := ec.encode(v)
-	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
+	c.mu.Unlock()
+	switch {
+	case ready:
+		c.hits.Add(1)
+		return e.v, true, false, nil
+	case found:
+		<-e.done
+		return e.v, e.err == nil, e.err == nil, e.err
+	}
+
+	v, hit = c.fetch(key, decode)
+	if !hit {
+		if v, err = compute(); err == nil {
+			err = c.persist(key, v)
+		}
+	}
 	if err != nil {
-		return err
+		v = nil
+		c.mu.Lock()
+		if c.table[key] == e {
+			delete(c.table, key)
+		}
+		c.mu.Unlock()
 	}
-	_, err = fmt.Fprintf(tmp, "%s %x\n", cacheHeader, sha256.Sum256(body))
-	if err == nil {
-		_, err = tmp.Write(body)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.path(key))
+	e.v, e.err = v, err
+	close(e.done)
+	return v, hit, false, err
 }

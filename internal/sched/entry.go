@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -89,6 +90,26 @@ func (ec *entryCodec) encode(v any) []byte {
 	e := encoder{buf: append(make([]byte, 0, 4096), ec.fp[:]...)}
 	ec.c.enc(&e, reflect.ValueOf(v).Elem())
 	return e.buf
+}
+
+// WriteKey writes the cache-key preimage of v into w: the fingerprint of
+// v's type, then v's payload. It is the entry codec itself, so a key moves
+// with every exported field — by name and type through the fingerprint,
+// by value through the payload. A non-nil pointer anywhere in v is live
+// state no key can capture, and an error naming the field; so is a type
+// the codec cannot encode.
+func WriteKey(w io.Writer, v any) error {
+	ec := codecFor(reflect.TypeOf(v))
+	if ec.err != nil {
+		return ec.err
+	}
+	e := encoder{buf: append(make([]byte, 0, 256), ec.fp[:]...), key: true}
+	ec.c.enc(&e, reflect.ValueOf(v))
+	if e.err != nil {
+		return fmt.Errorf("sched: key: %w", e.err)
+	}
+	_, err := w.Write(e.buf)
+	return err
 }
 
 // Decode is the decode hook GetAny and Memo take for a value stored as a
@@ -231,6 +252,12 @@ func (c *compiler) compile(t reflect.Type, path string) (*typeCodec, error) {
 				e.buf = append(e.buf, 0)
 				return
 			}
+			if e.key {
+				if e.err == nil {
+					e.err = fmt.Errorf("%s carries live state (%s)", path, t)
+				}
+				return
+			}
 			e.buf = append(e.buf, 1)
 			elem.enc(e, v.Elem())
 		}
@@ -285,7 +312,13 @@ func (c *compiler) compile(t reflect.Type, path string) (*typeCodec, error) {
 	return tc, nil
 }
 
-type encoder struct{ buf []byte }
+// encoder appends a payload. A key encoder (WriteKey) refuses non-nil
+// pointers: the first one sets err.
+type encoder struct {
+	buf []byte
+	key bool
+	err error
+}
 
 // decoder consumes a payload. The first error sticks and empties the
 // input, so every later read fails at once and the walk ends quickly.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -110,28 +111,47 @@ func TestKeySensitiveToEveryModelField(t *testing.T) {
 	m.Kernels[0].Reads = reads0
 }
 
-// legacyKeyV1 is the key this package computed before the streamed
-// digest: the "cachedarrays-run v1" header, the same config lines, and
-// the model's SaveJSON text.
-func legacyKeyV1(t *testing.T, m *models.Model, mode string, cfg engine.Config) string {
+// textConfigLines is the config hash keys used up to the v2 headers: one
+// name=value line per leaf of the canonical config, by a reflection
+// walk. It survives only as this fixture, to rebuild keys of the older
+// formats. Keyed configs hold no slices and only nil pointers.
+func textConfigLines(w io.Writer, name string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			textConfigLines(w, name+"."+v.Type().Field(i).Name, v.Field(i))
+		}
+	case reflect.Pointer:
+		fmt.Fprintf(w, "%s=nil\n", name)
+	default:
+		fmt.Fprintf(w, "%s=%v\n", name, v.Interface())
+	}
+}
+
+// legacyKey is the key this package computed under an older header:
+// "cachedarrays-run v1" followed the config lines with the model's
+// SaveJSON text, "cachedarrays-run v2" with its streamed digest.
+func legacyKey(t *testing.T, version int, m *models.Model, mode string, cfg engine.Config) string {
 	t.Helper()
 	h := sha256.New()
-	fmt.Fprintf(h, "cachedarrays-run v1\nmode=%s\n", mode)
-	if err := HashConfig(h, "cfg", cfg); err != nil {
-		t.Fatal(err)
-	}
+	fmt.Fprintf(h, "cachedarrays-run v%d\nmode=%s\n", version, mode)
+	textConfigLines(h, "cfg", reflect.ValueOf(cfg.Canonical()))
 	fmt.Fprintf(h, "model=")
-	if err := m.SaveJSON(h); err != nil {
+	write := m.WriteDigest
+	if version == 1 {
+		write = m.SaveJSON
+	}
+	if err := write(h); err != nil {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestV1DirectoryIsASilentMiss: a cache directory filled by a build that
-// keyed runs under the v1 header is, to this build, a directory of
-// entries nobody asks for — the run misses without an error or a corrupt
-// count, stores its own entry beside the old one, and leaves the old one
-// byte for byte alone.
+// TestV1DirectoryIsASilentMiss: a cache directory filled by builds that
+// keyed runs under the v1 and v2 headers is, to this build, a directory
+// of entries nobody asks for — the run misses without an error or a
+// corrupt count, stores its own entry beside the old ones, and leaves
+// them byte for byte alone.
 func TestV1DirectoryIsASilentMiss(t *testing.T) {
 	dir := t.TempDir()
 	m := models.MLP(64, []int{32}, 4, 8)
@@ -144,14 +164,22 @@ func TestV1DirectoryIsASilentMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := legacyKeyV1(t, m, "CA:LM", cfg)
-	if err := old.Put(v1, r); err != nil {
-		t.Fatal(err)
+	legacy := []string{legacyKey(t, 1, m, "CA:LM", cfg), legacyKey(t, 2, m, "CA:LM", cfg)}
+	// The v2 key a build of that format computed for this cell: it pins
+	// the fixture to the real old preimage.
+	if want := "351c98417e0074503da59f83a9abb035252fa61dd8c1850ee3e2f8b7c766b6e8"; legacy[1] != want {
+		t.Fatalf("v2 fixture key = %s, want %s", legacy[1], want)
 	}
-	v1Path := filepath.Join(dir, v1+".json")
-	before, err := os.ReadFile(v1Path)
-	if err != nil {
-		t.Fatal(err)
+	before := map[string]string{}
+	for _, k := range legacy {
+		if err := old.Put(k, r); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, k+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[k] = string(b)
 	}
 
 	c, err := OpenCache(dir)
@@ -164,24 +192,26 @@ func TestV1DirectoryIsASilentMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 || st.Stores != 1 || st.Corrupt != 0 {
-		t.Errorf("stats over a v1 directory = %+v, want a clean miss and one store", st)
+		t.Errorf("stats over a v1/v2 directory = %+v, want a clean miss and one store", st)
 	}
 	if s.Simulations() != 1 {
 		t.Errorf("simulations = %d, want 1", s.Simulations())
 	}
 	if !reflect.DeepEqual(got[0], r) {
-		t.Error("the re-simulated result differs from the one the v1 entry holds")
+		t.Error("the re-simulated result differs from the one the old entries hold")
 	}
-	after, err := os.ReadFile(v1Path)
-	if err != nil {
-		t.Fatalf("the v1 entry is gone: %v", err)
+	for k, b := range before {
+		after, err := os.ReadFile(filepath.Join(dir, k+".json"))
+		if err != nil {
+			t.Fatalf("the old entry %s is gone: %v", k, err)
+		}
+		if string(after) != b {
+			t.Errorf("the old entry %s was rewritten", k)
+		}
 	}
-	if string(after) != string(before) {
-		t.Error("the v1 entry was rewritten")
-	}
-	if v2 := mustKey(t, m, "CA:LM", cfg); v2 == v1 {
-		t.Error("v1 and v2 keys coincide")
-	} else if _, err := os.Stat(filepath.Join(dir, v2+".json")); err != nil {
-		t.Errorf("no v2 entry stored: %v", err)
+	if v3 := mustKey(t, m, "CA:LM", cfg); before[v3] != "" {
+		t.Error("the v3 key coincides with an old key")
+	} else if _, err := os.Stat(filepath.Join(dir, v3+".json")); err != nil {
+		t.Errorf("no v3 entry stored: %v", err)
 	}
 }

@@ -14,11 +14,11 @@
 // The parallel path is built to scale: result slots are written without
 // any lock (each cell owns its index), completion counters are atomics,
 // the progress line is throttled and skipped under contention rather
-// than serializing workers, model construction runs on the worker (Cell.
-// Build) overlapped with other cells' simulation, and concurrent
-// submissions of the identical cell are single-flighted — one leader
-// simulates while the rest share its result, so the cache sees one
-// writer per key.
+// than serializing workers, and model construction runs on the worker
+// (Cell.Build) overlapped with other cells' simulation. The cache is one
+// keyed table whose entries are in flight before they settle, so
+// concurrent submissions of the identical cell simulate once and the
+// disk sees one writer per key.
 package sched
 
 import (
@@ -90,9 +90,6 @@ type Scheduler struct {
 	// rewrites (0 = the 50ms default). The final summary always prints.
 	ProgressEvery time.Duration
 
-	// flight deduplicates concurrent submissions of the identical cell:
-	// one simulation, shared result, one cache writer per key.
-	flight flightGroup
 	// sims counts simulations actually executed over the scheduler's
 	// lifetime; dedups counts cells served by another cell's in-flight
 	// simulation.
@@ -101,11 +98,11 @@ type Scheduler struct {
 }
 
 // Simulations reports how many cells this scheduler actually simulated
-// (cache hits and single-flight followers excluded) over its lifetime.
+// (cache hits and dedups excluded) over its lifetime.
 func (s *Scheduler) Simulations() int64 { return s.sims.Load() }
 
 // Dedups reports how many cells were served by another concurrent
-// cell's in-flight simulation (the single-flight path).
+// cell's in-flight simulation (a cache entry still in flight).
 func (s *Scheduler) Dedups() int64 { return s.dedups.Load() }
 
 // progressLine throttles the live progress rewrite: a worker that
@@ -302,49 +299,43 @@ func (s *Scheduler) runCell(c *Cell) (*engine.Result, bool, error) {
 	return r, hit, nil
 }
 
-// Memo single-flights and memoizes an arbitrary keyed computation
-// through the scheduler's flight group and result cache — the one cached
-// path, shared by engine cells (runCell) and whole cluster runs.
-// Concurrent callers with the same key elect one leader; the leader
-// consults the cache (decode rebuilds a value from a verified disk entry)
-// and computes+stores on a miss, so a key is probed exactly once per
-// settled result; every caller shares the settled pointer, so results
-// must be treated as read-only. The computation must be deterministic
-// and its value a *T that round-trips through the binary cache entry
-// (PutAny, Decode[T]) — the same obligations the simulation's
-// byte-identity tests prove for engine results. The second
-// return reports whether the value arrived without this caller computing (a
-// cache or dedup hit).
+// Memo memoizes an arbitrary keyed computation through the scheduler's
+// result cache — the one cached path, shared by engine cells (runCell),
+// whole cluster runs and the DLRM table. The cache's table holds one
+// entry per key: the first caller claims it, consults the disk tier
+// (decode rebuilds a value from a verified entry) and computes and stores
+// on a miss; callers arriving while it is in flight wait for it and count
+// as dedups; later callers hit the settled entry. Every caller shares the
+// settled pointer, so results must be treated as read-only. A failed
+// computation hands its error to every waiter and leaves no entry, so the
+// next caller retries. The computation must be deterministic and its
+// value a *T that round-trips through the binary cache entry (PutAny,
+// Decode[T]) — the same obligations the simulation's byte-identity tests
+// prove for engine results. The second return reports whether the value
+// arrived without this caller computing (a cache or dedup hit).
 //
 // Keys must be content hashes whose preimage starts with a
-// caller-specific format header (engine cells use "cachedarrays-run v2",
-// cluster runs "cachedarrays-cluster v2"), which keeps the shared key
-// space collision-free. A scheduler without a Cache still single-flights;
-// it just recomputes on every settled miss.
+// caller-specific format header (engine cells use "cachedarrays-run v3",
+// cluster runs "cachedarrays-cluster v3"), which keeps the shared key
+// space collision-free. A scheduler without a Cache has no table: every
+// call computes and counts a simulation. That gives up one behaviour,
+// dedup of concurrent identical calls on a cacheless scheduler, which
+// routed cluster runs sharing one such scheduler were measured to make
+// none of.
 func (s *Scheduler) Memo(key string, decode func([]byte) (any, error), compute func() (any, error)) (any, bool, error) {
-	var computed bool
-	v, shared, err := s.flight.Do(key, func() (any, error) {
-		if v, ok := s.Cache.GetAny(key, decode); ok {
-			return v, nil
-		}
-		computed = true
+	if s.Cache == nil {
 		s.sims.Add(1)
 		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Cache.PutAny(key, v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	})
-	if err != nil {
-		return nil, false, err
+		return v, false, err
 	}
+	v, hit, shared, err := s.Cache.memo(key, decode, func() (any, error) {
+		s.sims.Add(1)
+		return compute()
+	})
 	if shared {
 		s.dedups.Add(1)
 	}
-	return v, !computed, nil
+	return v, hit, err
 }
 
 // Cacheable reports whether a run with this config may be served from (or

@@ -95,9 +95,9 @@ func TestCacheSharedWithinProcess(t *testing.T) {
 	}
 }
 
-// mutateField flips one leaf value in place, recursing into structs.
-// Returns false for kinds the key hasher rejects anyway (pointers).
-func mutateField(v reflect.Value) bool {
+// mutateLeaf flips one leaf value in place. It returns false for kinds
+// the key rejects anyway (pointers).
+func mutateLeaf(v reflect.Value) bool {
 	switch v.Kind() {
 	case reflect.Bool:
 		v.SetBool(!v.Bool())
@@ -107,44 +107,55 @@ func mutateField(v reflect.Value) bool {
 		v.SetFloat(v.Float() + 0.25)
 	case reflect.String:
 		v.SetString(v.String() + "x")
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if mutateField(v.Field(i)) {
-				return true
-			}
-		}
-		return false
 	default:
 		return false
 	}
 	return true
 }
 
+// leaves calls visit with the index path and dotted name of every leaf
+// field of struct type t, descending into nested structs.
+func leaves(t reflect.Type, index []int, name string, visit func(index []int, name string)) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		idx := append(append([]int(nil), index...), i)
+		if f.Type.Kind() == reflect.Struct {
+			leaves(f.Type, idx, name+"."+f.Name, visit)
+			continue
+		}
+		visit(idx, name+"."+f.Name)
+	}
+}
+
 // TestKeySensitiveToEveryField walks engine.Config by reflection and
-// checks that mutating any (hashable) field changes the cache key — the
-// property that keeps a new config knob from aliasing an old result.
-// The base config sets every defaultable field to a non-default value so
-// a mutation can never be normalized away by Canonical.
+// checks that mutating any (hashable) leaf, one at a time and nested
+// struct fields included, changes the cache key — the property that
+// keeps a new config knob from aliasing an old result. The base config
+// sets every defaultable field to a non-default value so a mutation can
+// never be normalized away by Canonical.
 func TestKeySensitiveToEveryField(t *testing.T) {
 	m := paperModel()
 	base := engine.Config{Iterations: 3, Allocator: "bestfit", SlowTier: "nvram"}.Canonical()
 	baseKey := mustKey(t, m, "CA:LM", base)
 
-	typ := reflect.TypeOf(base)
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
+	mutated := 0
+	leaves(reflect.TypeOf(base), nil, "Config", func(index []int, name string) {
 		cfg := base
-		if !mutateField(reflect.ValueOf(&cfg).Elem().Field(i)) {
-			continue // pointer fields: covered by TestKeyRejectsLiveState
+		if !mutateLeaf(reflect.ValueOf(&cfg).Elem().FieldByIndex(index)) {
+			return // pointer fields: covered by TestKeyRejectsLiveState
 		}
+		mutated++
 		k, err := Key(m, "CA:LM", cfg)
 		if err != nil {
-			t.Errorf("Config.%s: key error after mutation: %v", f.Name, err)
-			continue
+			t.Errorf("%s: key error after mutation: %v", name, err)
+			return
 		}
 		if k == baseKey {
-			t.Errorf("Config.%s: mutation did not change the cache key", f.Name)
+			t.Errorf("%s: mutation did not change the cache key", name)
 		}
+	})
+	if n := reflect.TypeOf(base).NumField(); mutated <= n {
+		t.Errorf("mutated %d leaves, want more than the %d top-level fields (nested leaves included)", mutated, n)
 	}
 
 	// Mode and model feed the key too.
@@ -321,7 +332,7 @@ func TestRunFastFailSkipsRemaining(t *testing.T) {
 	for i := 1; i < n; i++ {
 		cells[i] = Cell{
 			Name: fmt.Sprintf("real-%d", i),
-			// Distinct iteration counts defeat single-flight dedup, so
+			// Distinct iteration counts defeat in-flight dedup, so
 			// Simulations() counts every cell that actually ran.
 			Build: func() (*models.Model, error) { return models.MLP(256, []int{256}, 64, 8), nil },
 			Mode:  "CA:LM",

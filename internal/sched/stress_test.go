@@ -13,76 +13,150 @@ import (
 	"cachedarrays/internal/models"
 )
 
-// TestFlightGroupSharesResult pins the single-flight contract with
-// deterministic interleaving: a follower arriving while the leader is in
-// flight never executes its own function and shares the leader's exact
-// pointer, flagged as a dedup.
-func TestFlightGroupSharesResult(t *testing.T) {
-	var g flightGroup
-	leaderIn := make(chan struct{})
-	release := make(chan struct{})
-	want := &engine.Result{Mode: "X"}
-
-	type out struct {
-		r      any
-		shared bool
-		err    error
-	}
-	leaderOut := make(chan out, 1)
-	go func() {
-		r, shared, err := g.Do("k", func() (any, error) {
-			close(leaderIn)
-			<-release
-			return want, nil
-		})
-		leaderOut <- out{r, shared, err}
-	}()
-	<-leaderIn // leader is now in flight
-
-	followerOut := make(chan out, 1)
-	go func() {
-		r, shared, err := g.Do("k", func() (any, error) {
-			t.Error("follower executed its function despite an in-flight leader")
-			return nil, nil
-		})
-		followerOut <- out{r, shared, err}
-	}()
-	// Wait until the follower is registered on the in-flight call, then
-	// confirm it is blocked rather than completed.
+// waitForWaiter returns once some goroutine is parked on an in-flight
+// cache entry: blocked in a channel receive whose innermost frame is the
+// table walk itself (an in-flight computation blocks deeper, inside its
+// compute function). It polls goroutine stacks, so the interleaving the
+// table tests need is established without sleeping.
+func waitForWaiter(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
 	for {
-		g.mu.Lock()
-		waiting := g.m["k"] != nil && g.m["k"].waiters == 1
-		g.mu.Unlock()
-		if waiting {
-			break
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			head, frames, _ := strings.Cut(g, "\n")
+			if strings.Contains(head, "[chan receive") && strings.HasPrefix(frames, "cachedarrays/internal/sched.(*Cache).memo(") {
+				return
+			}
 		}
 		runtime.Gosched()
 	}
-	select {
-	case o := <-followerOut:
-		t.Fatalf("follower returned %+v before the leader finished", o)
-	default:
+}
+
+// memoOut is one Memo call's returns.
+type memoOut struct {
+	v   any
+	hit bool
+	err error
+}
+
+// startLeader starts a Memo call on key whose computation blocks until
+// release is closed and then returns (v, err). startLeader returns once
+// that computation is in flight.
+func startLeader(s *Scheduler, key string, release chan struct{}, v any, err error) chan memoOut {
+	in, out := make(chan struct{}), make(chan memoOut, 1)
+	go func() {
+		got, hit, gerr := s.Memo(key, Decode[engine.Result], func() (any, error) {
+			close(in)
+			<-release
+			return v, err
+		})
+		out <- memoOut{got, hit, gerr}
+	}()
+	<-in
+	return out
+}
+
+// TestInFlightEntrySharesResult pins the table's in-flight contract with
+// a deterministic interleaving: a follower arriving while the leader
+// computes never computes itself, shares the leader's exact pointer and
+// counts as a dedup, not a cache hit; a caller after the leader settled
+// is a plain hit.
+func TestInFlightEntrySharesResult(t *testing.T) {
+	cache, err := OpenCache("")
+	if err != nil {
+		t.Fatal(err)
 	}
+	s := &Scheduler{Cache: cache}
+	want := &engine.Result{Mode: "X"}
+	release := make(chan struct{})
+	leaderOut := startLeader(s, "k", release, want, nil)
+
+	followerOut := make(chan memoOut, 1)
+	go func() {
+		v, hit, err := s.Memo("k", Decode[engine.Result], func() (any, error) {
+			t.Error("follower computed despite an in-flight leader")
+			return nil, nil
+		})
+		followerOut <- memoOut{v, hit, err}
+	}()
+	waitForWaiter(t)
 	close(release)
 
 	l, f := <-leaderOut, <-followerOut
 	if l.err != nil || f.err != nil {
 		t.Fatalf("errors: leader %v, follower %v", l.err, f.err)
 	}
-	if l.shared {
-		t.Fatal("leader flagged as shared")
+	if l.hit || !f.hit {
+		t.Fatalf("hit flags: leader %v, follower %v; want false, true", l.hit, f.hit)
 	}
-	if !f.shared {
-		t.Fatal("follower not flagged as shared")
-	}
-	if l.r != want || f.r != want {
+	if l.v != want || f.v != want {
 		t.Fatal("leader and follower do not share the result pointer")
 	}
+	if s.Simulations() != 1 || s.Dedups() != 1 {
+		t.Fatalf("simulations %d, dedups %d; want 1, 1", s.Simulations(), s.Dedups())
+	}
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 || st.Stores != 1 {
+		t.Fatalf("stats = %+v, want one miss and one store (a dedup is no hit)", st)
+	}
 
-	// The key is gone after completion: a fresh call runs its function.
-	ran := false
-	if _, shared, _ := g.Do("k", func() (any, error) { ran = true; return want, nil }); shared || !ran {
-		t.Fatal("completed flight entry was not cleared")
+	v, hit, err := s.Memo("k", Decode[engine.Result], func() (any, error) {
+		t.Error("a settled entry was recomputed")
+		return nil, nil
+	})
+	if err != nil || !hit || v != want || s.Dedups() != 1 || cache.Stats().Hits != 1 {
+		t.Fatalf("settled lookup: v=%p hit=%v err=%v dedups=%d stats=%+v", v, hit, err, s.Dedups(), cache.Stats())
+	}
+}
+
+// TestInFlightEntryFailureIsShared: a leader whose computation fails
+// hands the same error to the follower waiting on it, leaves no entry
+// behind, and the next caller computes once and stores once.
+func TestInFlightEntryFailureIsShared(t *testing.T) {
+	cache, err := OpenCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Scheduler{Cache: cache}
+	boom := fmt.Errorf("boom")
+	release := make(chan struct{})
+	leaderOut := startLeader(s, "k", release, nil, boom)
+
+	followerOut := make(chan memoOut, 1)
+	go func() {
+		v, hit, err := s.Memo("k", Decode[engine.Result], func() (any, error) {
+			t.Error("follower computed despite an in-flight leader")
+			return nil, nil
+		})
+		followerOut <- memoOut{v, hit, err}
+	}()
+	waitForWaiter(t)
+	close(release)
+
+	l, f := <-leaderOut, <-followerOut
+	if l.err != boom || f.err != boom {
+		t.Fatalf("errors: leader %v, follower %v; want boom for both", l.err, f.err)
+	}
+	if l.v != nil || f.v != nil || l.hit || f.hit {
+		t.Fatalf("a failed flight returned a value or a hit: leader %+v, follower %+v", l, f)
+	}
+	if s.Dedups() != 0 {
+		t.Fatalf("dedups = %d, want 0: a shared failure serves nothing", s.Dedups())
+	}
+	cache.mu.Lock()
+	_, left := cache.table["k"]
+	cache.mu.Unlock()
+	if left {
+		t.Fatal("the failed entry is still in the table")
+	}
+
+	want := &engine.Result{Mode: "Y"}
+	calls := 0
+	v, hit, err := s.Memo("k", Decode[engine.Result], func() (any, error) { calls++; return want, nil })
+	if err != nil || hit || v != want || calls != 1 {
+		t.Fatalf("retry: v=%p hit=%v err=%v calls=%d", v, hit, err, calls)
+	}
+	if st := cache.Stats(); st.Stores != 1 {
+		t.Fatalf("stores = %d, want 1", st.Stores)
 	}
 }
 
@@ -90,8 +164,8 @@ func TestFlightGroupSharesResult(t *testing.T) {
 // disk-backed Cache from many workers with overlapping identical and
 // distinct cells (lazily built on the workers). The hard invariant under
 // -race: the number of simulations actually executed equals the number
-// of distinct keys — every duplicate was served by the cache or by
-// another cell's in-flight simulation — and every replica's result is
+// of distinct keys — every duplicate was served by a settled or an
+// in-flight cache entry — and every replica's result is
 // DeepEqual-identical to its group's.
 func TestSchedulerSingleFlightStress(t *testing.T) {
 	const distinct, replicas = 4, 12
@@ -131,14 +205,14 @@ func TestSchedulerSingleFlightStress(t *testing.T) {
 			t.Fatalf("replica %d differs from its group %d result", i, group)
 		}
 	}
-	t.Logf("stress: %d cells, %d simulations, %d single-flight dedups, stats %+v",
+	t.Logf("stress: %d cells, %d simulations, %d dedups, stats %+v",
 		len(cells), s.Simulations(), s.Dedups(), cache.Stats())
 }
 
-// TestCacheConcurrentPutGet drives the sharded cache directly from many
+// TestCacheConcurrentPutGet drives the cache directly from many
 // goroutines mixing distinct-key writes, same-key overwrites and reads
-// — the -race witness that prefix-sharded locking and atomic stats hold
-// without the old cache-wide mutex.
+// — the -race witness that the table's one lock and the atomic stats
+// hold.
 func TestCacheConcurrentPutGet(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {

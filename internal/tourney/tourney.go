@@ -20,6 +20,7 @@ import (
 	"cachedarrays/internal/cluster"
 	"cachedarrays/internal/engine"
 	"cachedarrays/internal/experiments"
+	"cachedarrays/internal/faults"
 	"cachedarrays/internal/memsim"
 	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
@@ -254,6 +255,10 @@ func Run(opts Options) (*Result, error) {
 				cfg.Iterations = opts.Iterations
 				if fv.Spec != "" {
 					cfg.FaultSpec = strings.ReplaceAll(fv.Spec, "{slow}", w.slowDevice())
+					// A bad spec fails the tournament before any cell runs.
+					if _, err := faults.Parse(cfg.FaultSpec); err != nil {
+						return nil, fmt.Errorf("tourney: fault variant %q: %w", fv.Name, err)
+					}
 				}
 				parts := []string{"tourney", w.Name, mode}
 				if fv.Name != "" { // the clean variant has no fault name
