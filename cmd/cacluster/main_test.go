@@ -15,6 +15,10 @@ func TestRejectsNegativeJobs(t *testing.T) {
 	clitest.Rejects(t, "-jobs must not be negative", "-jobs", "-1")
 }
 
+func TestRejectsNegativeIterations(t *testing.T) {
+	clitest.Rejects(t, "iterations must not be negative", "-iters", "-2")
+}
+
 // TestJSONStdoutIsOneDocument: with -json, stdout is exactly one JSON
 // document even when an observer flag makes the session print status
 // lines (they go to stderr), and that document is the one an unobserved

@@ -100,6 +100,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"bad dram", []string{"-dram", "lots"}, 1, ""},
 		{"negative dram", []string{"-dram", "-1GB"}, 1, "negative"},
 		{"zero batch", []string{"-batch", "0"}, 1, "-batch must be at least 1"},
+		{"negative iters", []string{"-iters", "-3"}, 1, "iterations must not be negative"},
 		{"negative metrics interval", []string{"-metrics", "x.csv", "-metrics-interval", "-1"}, 1, "metrics-interval"},
 		{"faults on 2LM", []string{"-mode", "2LM:M", "-faults", "seed=1;allocfail:fast:t0=0,t1=100,p=1", "-check"}, 1, "mode 2LM:M injects no faults"},
 		{"faults on OS:page", []string{"-mode", "os", "-faults", "seed=1;allocfail:fast:t0=0,p=1"}, 1, "mode OS:page injects no faults"},

@@ -13,6 +13,10 @@ func TestRejectsNegativeBudget(t *testing.T) {
 	clitest.Rejects(t, "negative", "-budgets", "-5GB")
 }
 
+func TestRejectsNegativeIterations(t *testing.T) {
+	clitest.Rejects(t, "iterations must not be negative", "-iters", "-1")
+}
+
 // TestQuickSweep: a two-point sweep at 1/64 batch prints the Figure 7
 // table with one row per network and budget.
 func TestQuickSweep(t *testing.T) {

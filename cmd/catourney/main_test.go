@@ -16,6 +16,11 @@ func TestRejectsNonFiniteFault(t *testing.T) {
 		"-modes", "CA:LM", "-scale", "64", "-nocluster", "-fault", "nan=bw:{slow}:t0=0,factor=NaN")
 }
 
+func TestRejectsNegativeIterations(t *testing.T) {
+	clitest.Rejects(t, "iterations must not be negative",
+		"-modes", "CA:LM", "-scale", "64", "-nocluster", "-iters", "-1")
+}
+
 // TestQuickTournament: one mode at 1/64 batch, clean runs only, prints
 // the ranking with that mode first.
 func TestQuickTournament(t *testing.T) {

@@ -231,7 +231,7 @@ func simulate(cfg Config, tenants []*tenant, ecfg engine.Config) (*Result, error
 
 func simulateQueued(cfg Config, tenants []*tenant, ecfg engine.Config, q dispatchQueue) (*Result, error) {
 	multi := len(tenants) > 1
-	p, release := engine.AcquirePlatform(ecfg)
+	p := engine.NewPlatform(ecfg)
 	var mux *tracing.Mux
 	if multi && ecfg.Trace {
 		// One recorder for the whole platform: the mux tags every event
@@ -246,7 +246,7 @@ func simulateQueued(cfg Config, tenants []*tenant, ecfg engine.Config, q dispatc
 		p.Copier.Tracer = mux.Recorder()
 	}
 	if err := dispatch(tenants, ecfg, p, mux, q); err != nil {
-		return nil, err // abandon the platform in its failed state
+		return nil, err
 	}
 	res := collect(tenants, p.Clock.Now())
 	if multi && ecfg.Metrics.Enabled() {
@@ -254,11 +254,6 @@ func simulateQueued(cfg Config, tenants []*tenant, ecfg engine.Config, q dispatc
 		ecfg.Metrics.SetMeta("model", fmt.Sprintf("%d-tenant", len(cfg.Jobs)))
 		ecfg.Metrics.Flush(p.Clock.Now())
 	}
-	// Snapshot the whole-platform counters before release resets them:
-	// the cluster trace record pins the per-tenant attribution to them.
-	fc, sc := p.Fast.Counters(), p.Slow.Counters()
-	fastDev, slowDev := p.Fast.Name, p.Slow.Name
-	release()
 	if cfg.Baselines != nil {
 		if err := fairness(res, tenants, cfg.Baselines); err != nil {
 			return nil, err
@@ -266,19 +261,21 @@ func simulateQueued(cfg Config, tenants []*tenant, ecfg engine.Config, q dispatc
 	}
 	if mux != nil {
 		// Emitted after fairness so the record carries the solo-baseline
-		// metrics; the mux no longer touches the (released) platform.
-		mux.EmitCluster(clusterTotals(res, tenants, fc, sc, fastDev, slowDev))
+		// metrics.
+		mux.EmitCluster(clusterTotals(res, tenants, p))
 		res.Trace = mux.Events()
 	}
 	return res, nil
 }
 
 // clusterTotals assembles the trailing trace record from the collected
-// results and the dispatch loop's per-tenant traffic attribution.
-func clusterTotals(res *Result, tenants []*tenant, fc, sc memsim.Counters, fastDev, slowDev string) tracing.ClusterTotals {
+// results, the dispatch loop's per-tenant traffic attribution and the
+// whole-platform counters that attribution must sum to.
+func clusterTotals(res *Result, tenants []*tenant, p *memsim.Platform) tracing.ClusterTotals {
+	fc, sc := p.Fast.Counters(), p.Slow.Counters()
 	c := tracing.ClusterTotals{
-		FastDevice:     fastDev,
-		SlowDevice:     slowDev,
+		FastDevice:     p.Fast.Name,
+		SlowDevice:     p.Slow.Name,
 		FastReadBytes:  fc.ReadBytes,
 		FastWriteBytes: fc.WriteBytes,
 		SlowReadBytes:  sc.ReadBytes,

@@ -220,7 +220,7 @@ func (q watchQueue) peek() *tenant {
 	return q.dispatchQueue.peek()
 }
 
-// dispatchWatched runs cfg through the production dispatcher on a pooled
+// dispatchWatched runs cfg through the production dispatcher on a fresh
 // platform, calling watch with the platform and the tenants before every
 // dispatch decision (the last one finds every tenant finished).
 func dispatchWatched(t *testing.T, cfg Config, watch func(p *memsim.Platform, tenants []*tenant)) []*tenant {
@@ -229,12 +229,11 @@ func dispatchWatched(t *testing.T, cfg Config, watch func(p *memsim.Platform, te
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, release := engine.AcquirePlatform(ecfg)
+	p := engine.NewPlatform(ecfg)
 	q := watchQueue{newTenantHeap(tenants), func() { watch(p, tenants) }}
 	if err := dispatch(tenants, ecfg, p, nil, q); err != nil {
 		t.Fatal(err)
 	}
-	release()
 	return tenants
 }
 

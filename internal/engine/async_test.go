@@ -107,13 +107,13 @@ func TestAsyncDataDependenciesRespected(t *testing.T) {
 // TestWriteThreadCap checks the §V-d scheduling fix the async mover uses:
 // capping write streams restores peak NVRAM write bandwidth.
 func TestWriteThreadCap(t *testing.T) {
-	p, _ := acquirePlatform(Config{AsyncMovement: true}.withDefaults())
+	p := NewPlatform(Config{AsyncMovement: true})
 	if p.Copier.WriteThreadCap != p.Slow.Profile.WritePeakThreads {
 		t.Fatalf("async copier cap = %d, want %d",
 			p.Copier.WriteThreadCap, p.Slow.Profile.WritePeakThreads)
 	}
 	capped := p.Copier.CopyTime(p.Slow, p.Fast, units.GB)
-	uncappedP, _ := acquirePlatform(Config{}.withDefaults())
+	uncappedP := NewPlatform(Config{})
 	uncapped := uncappedP.Copier.CopyTime(p.Slow, p.Fast, units.GB)
 	if capped >= uncapped {
 		t.Errorf("capped copy (%.4fs) not faster than uncapped (%.4fs)", capped, uncapped)

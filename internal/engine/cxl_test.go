@@ -40,11 +40,11 @@ func TestCXLPortability(t *testing.T) {
 // TestUnknownSlowTierFallsBack ensures an unknown tier name keeps the
 // NVRAM default rather than failing (the field is advisory).
 func TestUnknownSlowTier(t *testing.T) {
-	p, _ := acquirePlatform(Config{SlowTier: "weird"}.withDefaults())
+	p := NewPlatform(Config{SlowTier: "weird"})
 	if p.Slow.Name != "nvram" {
 		t.Fatalf("unknown tier produced device %q", p.Slow.Name)
 	}
-	c, _ := acquirePlatform(Config{SlowTier: "cxl"}.withDefaults())
+	c := NewPlatform(Config{SlowTier: "cxl"})
 	if c.Slow.Name != "cxl" {
 		t.Fatalf("cxl tier produced device %q", c.Slow.Name)
 	}

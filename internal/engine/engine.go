@@ -29,7 +29,8 @@ type Config struct {
 	SlowCapacity int64
 	// CopyThreads sizes the data-movement pool.
 	CopyThreads int
-	// Iterations to run (paper: 4). The first iteration is warm-up; the
+	// Iterations to run (paper: 4); 0 means the default of 4, and a
+	// negative count is rejected. The first iteration is warm-up; the
 	// reported Result averages the remaining ones.
 	Iterations int
 	// TwoLM configures the hardware cache for Run2LM.
@@ -98,6 +99,15 @@ type Config struct {
 // equally describe the same run, which is what the scheduler's
 // content-addressed result cache keys on.
 func (c Config) Canonical() Config { return c.withDefaults() }
+
+// Validate rejects a config no run can mean. Every mode checks it before
+// setup; the scheduler checks it for every cell before a batch starts.
+func (c Config) Validate() error {
+	if c.Iterations < 0 {
+		return fmt.Errorf("engine: iterations must not be negative, got %d", c.Iterations)
+	}
+	return nil
+}
 
 func (c Config) withDefaults() Config {
 	if c.FastCapacity == 0 {

@@ -68,10 +68,6 @@ type run struct {
 	core
 	b   backend
 	res *Result
-	// release returns the platform to the pool and runs only on the
-	// success path (error paths abandon the platform in whatever state
-	// the failure left it).
-	release func()
 
 	// iter counts completed iterations and ki the current iteration's
 	// executed kernels: ki is zero exactly between iterations, because a
@@ -90,8 +86,11 @@ type run struct {
 func newRun(model *models.Model, mode string, cfg Config, env *Env,
 	build func(*core) (backend, error)) (*run, error) {
 
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
-	p, release := env.acquire(cfg)
+	p := env.acquire(cfg)
 	sched := trace.New(model)
 	if err := sched.Validate(); err != nil {
 		return nil, err
@@ -99,8 +98,7 @@ func newRun(model *models.Model, mode string, cfg Config, env *Env,
 	r := &run{
 		core: core{model: model, sched: sched, cfg: cfg, p: p, reg: cfg.Metrics,
 			persistent: make([]bool, len(model.Tensors))},
-		res:     &Result{ModelName: model.Name, Mode: mode, Config: cfg},
-		release: release,
+		res: &Result{ModelName: model.Name, Mode: mode, Config: cfg},
 	}
 	r.res.recordPeaks(p)
 	// The metrics registry threads through every layer with the tracer's
@@ -232,7 +230,6 @@ func (r *run) Finish() (*Result, error) {
 		return nil, err
 	}
 	finishMetrics(r.reg, r.p.Clock, r.model.Name, r.res.Mode)
-	r.release()
 	r.res.aggregate()
 	return r.res, nil
 }

@@ -28,8 +28,8 @@ type Stepper interface {
 	// Done reports whether every event has been executed.
 	Done() bool
 	// Finish finalizes and returns the result. Call exactly once, after
-	// Done; it aggregates the measured iterations, embeds trace totals,
-	// flushes metrics and returns the platform to the pool (solo runs).
+	// Done; it aggregates the measured iterations, embeds trace totals
+	// and flushes metrics.
 	Finish() (*Result, error)
 }
 
@@ -39,13 +39,13 @@ var ErrUnknownMode = errors.New("engine: unknown mode")
 
 // Env is the execution environment a cluster dispatch loop shares between
 // the steppers it multiplexes. A nil Env (the solo path) makes each
-// stepper acquire its own pooled platform. Either way a stepper attaches
+// stepper build its own platform. Either way a stepper attaches
 // its registry and checker to the platform's clock as observers and
 // detaches them at Finish.
 type Env struct {
 	// Platform, when non-nil, is the shared platform every tenant runs
-	// on. The owner configures it (movement discipline, capacities) and
-	// resets/releases it; steppers must not.
+	// on. The owner builds and configures it (movement discipline,
+	// capacities); steppers must not.
 	Platform *memsim.Platform
 	// FastQuota/SlowQuota, when non-nil, arbitrate the shared device
 	// capacity between tenants: every tenant's allocator is wrapped so
@@ -70,13 +70,43 @@ type Env struct {
 // shared reports whether steppers run on an owner-managed platform.
 func (e *Env) shared() bool { return e != nil && e.Platform != nil }
 
-// acquire returns the run's platform: the shared one (with a no-op
-// release — the owner resets it) or a freshly acquired pooled platform.
-func (e *Env) acquire(cfg Config) (*memsim.Platform, func()) {
+// acquire returns the run's platform: the shared one, or a fresh one
+// built from cfg.
+func (e *Env) acquire(cfg Config) *memsim.Platform {
 	if e.shared() {
-		return e.Platform, func() {}
+		return e.Platform
 	}
-	return acquirePlatform(cfg)
+	return newPlatform(cfg)
+}
+
+// newPlatform builds the platform a run with the resolved cfg executes
+// on, movement discipline included.
+func newPlatform(cfg Config) *memsim.Platform {
+	clock := &memsim.Clock{}
+	fast := memsim.NewDevice("dram", memsim.DRAM,
+		resolveCapacity(cfg.FastCapacity, memsim.DefaultFastCapacity), memsim.DRAMProfile())
+	slowProfile := memsim.NVRAMProfile()
+	slowName := "nvram"
+	if cfg.SlowTier == "cxl" {
+		slowProfile = memsim.CXLProfile()
+		slowName = "cxl"
+	}
+	slow := memsim.NewDevice(slowName, memsim.NVRAM,
+		resolveCapacity(cfg.SlowCapacity, memsim.DefaultSlowCapacity), slowProfile)
+	copier := memsim.NewCopyEngine(clock, cfg.CopyThreads)
+	copier.Async = cfg.AsyncMovement
+	if cfg.AsyncMovement {
+		// A mover that nothing blocks on is free to pace its write
+		// streams at the destination's optimal parallelism (§V-d).
+		copier.WriteThreadCap = slowProfile.WritePeakThreads
+	}
+	return &memsim.Platform{
+		Clock:   clock,
+		Fast:    fast,
+		Slow:    slow,
+		Copier:  copier,
+		Compute: memsim.DefaultCompute(),
+	}
 }
 
 // limitFast wraps a with the shared fast-tier budget, if any.
@@ -95,13 +125,10 @@ func (e *Env) limitSlow(a alloc.Allocator) alloc.Allocator {
 	return alloc.Limit(a, e.SlowQuota)
 }
 
-// AcquirePlatform exposes the pooled-platform path to the cluster
-// simulator: it resolves the config's defaults (pool keys use resolved
-// capacities) and returns a platform plus the release function that
-// resets it and returns it to the pool. Release only a platform in a
-// known-good state; abandon one a failed run may have corrupted.
-func AcquirePlatform(cfg Config) (*memsim.Platform, func()) {
-	return acquirePlatform(cfg.withDefaults())
+// NewPlatform builds the platform a run with cfg executes on, after
+// resolving cfg's defaults: the cluster simulator's shared platform.
+func NewPlatform(cfg Config) *memsim.Platform {
+	return newPlatform(cfg.withDefaults())
 }
 
 // Drive runs a stepper to completion: the solo execution path, and the

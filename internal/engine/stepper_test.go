@@ -3,6 +3,7 @@ package engine
 import (
 	"crypto/sha256"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cachedarrays/internal/models"
@@ -110,21 +111,15 @@ func TestStepperProtocol(t *testing.T) {
 	}
 }
 
-// TestStepperNoIterations covers the setup-only run: a negative iteration
-// count (zero means the paper default) is Done at once and finishes with
-// no measured iterations.
-func TestStepperNoIterations(t *testing.T) {
+// TestStepperRejectsNegativeIterations: a negative iteration count (zero
+// means the paper default) has no run to mean, so every mode refuses it
+// at construction instead of finishing with no measured iterations.
+func TestStepperRejectsNegativeIterations(t *testing.T) {
 	m := models.MLP(256, []int{256}, 16, 8)
 	for _, mode := range Modes {
 		st, err := NewStepper(m, mode, Config{Iterations: -1}, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if !st.Done() {
-			t.Errorf("%s: not Done with no iterations to run", mode)
-		}
-		if r, err := st.Finish(); err != nil || len(r.Iterations) != 0 {
-			t.Errorf("%s: Finish = %v iterations, err %v", mode, r, err)
+		if err == nil || !strings.Contains(err.Error(), "iterations must not be negative") {
+			t.Errorf("%s: NewStepper = %v, %v; want the negative-iterations error", mode, st, err)
 		}
 	}
 }

@@ -85,7 +85,8 @@ func (b *twolmBackend) reap() {
 		b.heap.Free(b.addrs[id])
 		b.live[id] = false
 	}
-	pause := twolmPauseBase + float64(len(b.dead))*twolmPausePerObject
+	// float64() rounds the product: no fused multiply-add on any GOARCH.
+	pause := twolmPauseBase + float64(float64(len(b.dead))*twolmPausePerObject)
 	b.p.Clock.Advance(pause)
 	b.gcPauses += pause
 	b.collections++

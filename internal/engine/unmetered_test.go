@@ -55,7 +55,7 @@ func TestUnmeteredRunAttachesNoRegistry(t *testing.T) {
 			stepWatching(t, st, bare(t, st.(*run).p.Clock))
 		})
 		t.Run(mode+"/shared", func(t *testing.T) {
-			p, release := AcquirePlatform(cfg)
+			p := NewPlatform(cfg)
 			env := &Env{
 				Platform:  p,
 				FastQuota: alloc.NewQuota(p.Fast.Capacity),
@@ -67,7 +67,6 @@ func TestUnmeteredRunAttachesNoRegistry(t *testing.T) {
 			}
 			stepWatching(t, st, bare(t, p.Clock))
 			bare(t, p.Clock)(-1) // and Finish attached nothing either
-			release()
 		})
 	}
 }
@@ -81,8 +80,7 @@ func TestFinishDetachesObservers(t *testing.T) {
 	m := models.ResNet(50, 32)
 	cfg := Config{Iterations: 2, FastCapacity: 2 * units.GB, SlowCapacity: 32 * units.GB,
 		CheckEveryAdvance: true}
-	p, release := AcquirePlatform(cfg)
-	defer release()
+	p := NewPlatform(cfg)
 	env := &Env{
 		Platform:  p,
 		FastQuota: alloc.NewQuota(p.Fast.Capacity),

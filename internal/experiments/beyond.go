@@ -5,7 +5,6 @@ import (
 	"cachedarrays/internal/metrics"
 	"cachedarrays/internal/models"
 	"cachedarrays/internal/sched"
-	"cachedarrays/internal/twolm"
 )
 
 // BeyondCNNs runs the §VI generality check: a Transformer encoder whose
@@ -46,7 +45,6 @@ func BeyondCNNs(opts Options) (*Table, error) {
 	lstmCfg := opts.config()
 	lstmCfg.FastCapacity = budget
 	lstmCfg.SlowCapacity = 16 * lstm.PeakFootprint()
-	lstmCfg.TwoLM = twolmConfigFor(budget)
 
 	rows := []struct {
 		model *models.Model
@@ -75,14 +73,4 @@ func BeyondCNNs(opts Options) (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
-}
-
-// twolmConfigFor scales the hardware cache's tag granularity down with the
-// platform so small-budget runs keep a sensible set count.
-func twolmConfigFor(fastBudget int64) (c twolm.Config) {
-	c = twolm.DefaultConfig()
-	for c.LineSize > 4096 && fastBudget/c.LineSize < 4096 {
-		c.LineSize /= 2
-	}
-	return c
 }

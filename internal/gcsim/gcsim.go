@@ -106,7 +106,8 @@ func (c *Collector) Collect() int64 {
 		c.stats.ObjectsFreed++
 		freed++
 	}
-	pause := c.PauseBase + float64(len(c.dead))*c.PausePerObject
+	// float64() rounds the product: no fused multiply-add on any GOARCH.
+	pause := c.PauseBase + float64(float64(len(c.dead))*c.PausePerObject)
 	if c.clock != nil {
 		c.clock.Advance(pause)
 	}

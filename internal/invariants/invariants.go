@@ -79,7 +79,7 @@ func (c *Checker) Err() error {
 }
 
 // OnAdvance makes the checker a clock observer (Clock.Observe attaches it,
-// Clock.Unobserve or the clock's Reset detaches it): the mid-operation
+// Clock.Unobserve detaches it): the mid-operation
 // audit, skipped while the manager is relocating regions (Defrag holds the
 // allocator and the region index transiently out of sync; the next advance
 // catches up). It records the first violation (with its virtual timestamp,
@@ -157,11 +157,8 @@ func (c *Checker) checkCounters(d *memsim.Device, last *memsim.Counters) error {
 	if math.IsNaN(cur.BusyTime) || math.IsInf(cur.BusyTime, 0) || cur.BusyTime < 0 {
 		return fmt.Errorf("invariants: %s busy time is %g", d.Name, cur.BusyTime)
 	}
-	// Counters legitimately reset to zero between measurement windows
-	// (Device.Reset); "ran backwards" means a partial decrease.
-	if cur != (memsim.Counters{}) &&
-		(cur.ReadBytes < last.ReadBytes || cur.WriteBytes < last.WriteBytes ||
-			cur.ReadOps < last.ReadOps || cur.WriteOps < last.WriteOps) {
+	if cur.ReadBytes < last.ReadBytes || cur.WriteBytes < last.WriteBytes ||
+		cur.ReadOps < last.ReadOps || cur.WriteOps < last.WriteOps {
 		return fmt.Errorf("invariants: %s counters ran backwards: %+v after %+v", d.Name, cur, *last)
 	}
 	*last = cur

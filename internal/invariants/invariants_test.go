@@ -85,10 +85,33 @@ func TestDetectsClockRunningBackwards(t *testing.T) {
 	if err := chk.Check(); err != nil {
 		t.Fatal(err)
 	}
-	p.Clock.Reset() // rewinds time under the checker's feet
+	*p.Clock = memsim.Clock{} // rewinds time under the checker's feet
 	err := chk.Check()
 	if err == nil || !strings.Contains(err.Error(), "backwards") {
 		t.Fatalf("Check = %v, want clock-ran-backwards violation", err)
+	}
+}
+
+// TestDetectsCountersDroppingToZero: no run ever zeroes a device's
+// counters, so a device whose traffic vanishes — here a fresh device
+// swapped in under an attached checker — is a counter running backwards,
+// not a new measurement window.
+func TestDetectsCountersDroppingToZero(t *testing.T) {
+	p := testPlatform()
+	m := dm.New(p)
+	chk := invariants.New(m, p)
+	p.Clock.Observe(chk)
+
+	p.Fast.Read(64<<10, memsim.Sequential(1))
+	p.Fast.Write(64<<10, memsim.Sequential(1))
+	p.Clock.Advance(1.0)
+	if err := chk.Err(); err != nil {
+		t.Fatal(err)
+	}
+	p.Fast = memsim.NewDevice("fast", memsim.DRAM, 1<<20, memsim.DRAMProfile())
+	err := chk.Check()
+	if err == nil || !strings.Contains(err.Error(), "counters ran backwards") {
+		t.Fatalf("Check = %v, want counters-ran-backwards violation", err)
 	}
 }
 
@@ -102,9 +125,9 @@ func TestAttachedCheckerRecordsFirstViolationWithTimestamp(t *testing.T) {
 	if err := chk.Err(); err != nil {
 		t.Fatal(err)
 	}
-	p.Clock.Reset()      // rewinds time and drops every observer
-	p.Clock.Observe(chk) // a checker carried across the rewind...
-	p.Clock.Advance(0.5) // ...sees now < lastNow on its first advance
+	*p.Clock = memsim.Clock{} // rewinds time and drops every observer
+	p.Clock.Observe(chk)      // a checker carried across the rewind...
+	p.Clock.Advance(0.5)      // ...sees now < lastNow on its first advance
 	err := chk.Err()
 	if err == nil || !strings.Contains(err.Error(), "at t=") {
 		t.Fatalf("Err = %v, want timestamped violation", err)

@@ -67,9 +67,3 @@ func (c *Clock) Advance(dt float64) {
 		o.OnAdvance(c.now, dt)
 	}
 }
-
-// Reset returns the clock to its zero value: time zero, no observers.
-// Experiments reuse one platform across runs and reset between them; what
-// an observer recorded belongs to its owner and is untouched, and the next
-// run attaches its own.
-func (c *Clock) Reset() { *c = Clock{} }

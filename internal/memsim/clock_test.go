@@ -2,7 +2,6 @@ package memsim_test
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"cachedarrays/internal/dm"
@@ -153,49 +152,5 @@ func TestObserveDuringAdvanceIsDeferred(t *testing.T) {
 	c.Advance(1)
 	if want := []string{"editor", "late"}; !slices.Equal(journal, want) {
 		t.Fatalf("advance after the edit fired %v, want %v", journal, want)
-	}
-}
-
-// TestResetClockSamplesLikeFresh is the property the platform pool rests
-// on, formerly guarded by rewinding a still-attached registry: Reset leaves
-// time zero and no observers, what the dropped registry recorded stays with
-// its owner, and a registry attached to the reused clock samples exactly as
-// on a fresh one.
-func TestResetClockSamplesLikeFresh(t *testing.T) {
-	sampled := func(c *memsim.Clock) string {
-		reg := metrics.New(0.5)
-		reg.Gauge("g", func() float64 { return 1 })
-		c.Observe(reg)
-		for i := 0; i < 10; i++ {
-			c.Advance(0.3)
-		}
-		var csv strings.Builder
-		if err := reg.WriteCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		return csv.String()
-	}
-	want := sampled(&memsim.Clock{})
-	if strings.Count(want, "\n") < 3 {
-		t.Fatalf("fresh clock recorded too few samples to tell:\n%s", want)
-	}
-
-	reused := &memsim.Clock{}
-	warmup := metrics.New(0.5)
-	warmup.Gauge("g", func() float64 { return 1 })
-	reused.Observe(warmup)
-	reused.Advance(1.7) // leave the boundary mid-interval
-	reused.Reset()
-	if reused.Now() != 0 || reused.Observers() != 0 {
-		t.Fatalf("after Reset: now %v, %d observers; want 0 and 0", reused.Now(), reused.Observers())
-	}
-	if warmup.Samples() != 1 {
-		t.Fatalf("Reset touched the dropped registry's samples: %d, had 1", warmup.Samples())
-	}
-	if got := sampled(reused); got != want {
-		t.Fatalf("reused clock sampled\n%s\nfresh clock\n%s", got, want)
-	}
-	if warmup.Samples() != 1 {
-		t.Fatalf("the dropped registry kept sampling after Reset: %d samples", warmup.Samples())
 	}
 }

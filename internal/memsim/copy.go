@@ -85,19 +85,6 @@ func (e *CopyEngine) Backlog() float64 {
 	return e.BusyUntil() - e.Clock.Now()
 }
 
-// Reset returns the engine to its just-built state: the asynchronous
-// mover's queue is empty and the per-run tracer and fault injector are
-// gone. Experiments that reuse a platform across runs must reset the
-// engine along with the clock — a rewound clock would otherwise leave
-// busyUntil pointing at a stale future timestamp and the mover would
-// appear busy at the start of the next run.
-func (e *CopyEngine) Reset() {
-	e.busyUntil = 0
-	e.queued = 0
-	e.Tracer = nil
-	e.Faults = nil
-}
-
 // NewCopyEngine returns an engine with the given thread pool over the
 // clock, using a 4 MiB grain and a 5 µs launch overhead.
 func NewCopyEngine(clock *Clock, threads int) *CopyEngine {

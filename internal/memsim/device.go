@@ -87,7 +87,8 @@ func shapeFactor(random, peak float64, granularity int64) float64 {
 	}
 	g := float64(granularity)
 	f := g / (g + granHalf)
-	return random + (peak-random)*f
+	// float64() rounds the product: no fused multiply-add on any GOARCH.
+	return random + float64((peak-random)*f)
 }
 
 // ReadBandwidth returns the effective read bandwidth for an access shape.
@@ -212,14 +213,6 @@ func (d *Device) Data(offset, size int64) []byte {
 
 // Counters returns a snapshot of the device's traffic counters.
 func (d *Device) Counters() Counters { return d.counters }
-
-// Reset zeroes the traffic counters and drops the per-run fault injector
-// (between runs). Capacity, profile and backing describe the device and
-// are kept.
-func (d *Device) Reset() {
-	d.counters = Counters{}
-	d.Faults = nil
-}
 
 // ReadTime returns the seconds needed to read n bytes with the given access
 // shape, without recording any traffic (used for projections).

@@ -18,10 +18,6 @@ func TestClockAdvances(t *testing.T) {
 	if c.Now() != 2.0 {
 		t.Fatalf("clock at %v, want 2.0", c.Now())
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("reset clock at %v", c.Now())
-	}
 }
 
 func TestClockPanicsOnNegativeAdvance(t *testing.T) {
@@ -98,10 +94,6 @@ func TestDeviceRecordsTraffic(t *testing.T) {
 	if got := c.BusyTime; math.Abs(got-(rt+wt)) > 1e-12 {
 		t.Errorf("busy time %v != read %v + write %v", got, rt, wt)
 	}
-	d.Reset()
-	if d.Counters() != (Counters{}) {
-		t.Errorf("reset counters = %+v", d.Counters())
-	}
 }
 
 func TestZeroByteTrafficIsFree(t *testing.T) {
@@ -129,6 +121,29 @@ func TestCountersSubAdd(t *testing.T) {
 	acc.Add(d)
 	if acc != a {
 		t.Errorf("Add round trip: %+v != %+v", acc, a)
+	}
+}
+
+// TestCountersSubIsolatesInterval pins the snapshot-diff semantics the
+// engine relies on for per-iteration metrics: Sub of a later snapshot
+// against an earlier one isolates exactly the traffic in between.
+func TestCountersSubIsolatesInterval(t *testing.T) {
+	d := NewDevice("dram", DRAM, units.MB, DRAMProfile())
+	d.Read(1000, Sequential(1))
+	d.Write(500, Sequential(1))
+	snap := d.Counters()
+
+	d.Read(300, Sequential(1))
+	d.Write(200, Sequential(1))
+	delta := d.Counters().Sub(snap)
+	if delta.ReadBytes != 300 || delta.WriteBytes != 200 {
+		t.Fatalf("delta = %+v, want reads 300 writes 200", delta)
+	}
+	if delta.ReadOps != 1 || delta.WriteOps != 1 {
+		t.Fatalf("delta ops = %+v, want 1/1", delta)
+	}
+	if delta.BusyTime <= 0 || delta.BusyTime >= d.Counters().BusyTime {
+		t.Fatalf("delta busy time %v outside (0, total)", delta.BusyTime)
 	}
 }
 
@@ -310,18 +325,6 @@ func TestDefaultPlatformConfiguration(t *testing.T) {
 	}
 	if p.Fast.Backed() || p.Slow.Backed() {
 		t.Error("default platform should be unbacked")
-	}
-}
-
-func TestPlatformReset(t *testing.T) {
-	p := DefaultPlatform()
-	p.Copier.Copy(p.Slow, 0, p.Fast, 0, units.MB)
-	if p.Clock.Now() == 0 {
-		t.Fatal("copy did not advance clock")
-	}
-	p.Reset()
-	if p.Clock.Now() != 0 || p.Fast.Counters() != (Counters{}) || p.Slow.Counters() != (Counters{}) {
-		t.Error("reset did not clear state")
 	}
 }
 

@@ -143,27 +143,10 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 // (180 GB DRAM + 1300 GB NVRAM, unbacked).
 func DefaultPlatform() *Platform { return NewPlatform(PlatformConfig{}) }
 
-// Reset returns every component to its just-built state — the clock (time
-// zero, no observers), both devices (counters, fault injector) and the copy
-// engine (queue, tracer, fault injector) — so a reused platform is
-// indistinguishable from a fresh one. Configuration (capacities, profiles,
-// Copier.Async, WriteThreadCap) is deliberately kept — it describes the
-// platform, not a run. Per-run state lives in the components and each
-// component's Reset drops its own, so a new per-run field is one edit next
-// to the field, not a line to remember here.
-func (p *Platform) Reset() {
-	p.Clock.Reset()
-	p.Fast.Reset()
-	p.Slow.Reset()
-	if p.Copier != nil {
-		p.Copier.Reset()
-	}
-}
-
 // InjectFaults attaches inj to every component that consults a fault
 // injector (both devices and the copy engine). The injector is not a clock
-// observer — components ask it for a value — and like one it stays until
-// Reset.
+// observer — components ask it for a value — and it stays for the
+// platform's lifetime, which is one run.
 func (p *Platform) InjectFaults(inj *faults.Injector) {
 	p.Fast.Faults = inj
 	p.Slow.Faults = inj

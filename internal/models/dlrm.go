@@ -75,7 +75,8 @@ func NewDLRMWorkload(cfg DLRMConfig) *DLRMWorkload {
 	for _, width := range append(append([]int{}, cfg.BottomMLP...), cfg.TopMLP...) {
 		if prev > 0 {
 			w.MLPBytes += int64(prev) * int64(width) * bytesPerElem
-			w.MLPFLOPsPerStep += 2 * float64(prev) * float64(width) * float64(cfg.BatchSize)
+			// float64() rounds the product: no fused multiply-add on any GOARCH.
+			w.MLPFLOPsPerStep += float64(2 * float64(prev) * float64(width) * float64(cfg.BatchSize))
 		}
 		prev = width
 	}

@@ -179,6 +179,27 @@ func TestTableIIIFootprintBands(t *testing.T) {
 	}
 }
 
+// TestParameterCountsMatchPublished pins the layer graphs every number
+// derives from: WeightBytes holds fp32 weights plus their fp32 gradients,
+// 8 bytes per parameter. VGG-16 and VGG-19 match the published counts
+// exactly. ResNet-50 is the published 25,557,032 minus 26,560: the model
+// fuses one conv bias per channel where BatchNorm has two parameters
+// (scale and shift), one fewer per channel over its 26,560 BN channels.
+func TestParameterCountsMatchPublished(t *testing.T) {
+	for _, tc := range []struct {
+		m    *Model
+		want int64
+	}{
+		{VGG(16, 1), 138_357_544},
+		{VGG(19, 1), 143_667_240},
+		{ResNet(50, 1), 25_557_032 - 26_560},
+	} {
+		if got := tc.m.WeightBytes() / 8; got != tc.want {
+			t.Errorf("%s: %d parameters, want %d", tc.m.Name, got, tc.want)
+		}
+	}
+}
+
 func TestFootprintScalesWithBatch(t *testing.T) {
 	small := ResNet(50, 16).PeakFootprint()
 	big := ResNet(50, 32).PeakFootprint()

@@ -236,7 +236,8 @@ func (m *Migrator) Epoch() float64 {
 			break
 		}
 		victim := m.fastCold.at(ci) // victim.hot is negated
-		if s.hot < -victim.hot*m.cfg.PromoteMargin+1 {
+		// float64() rounds the product: no fused multiply-add on any GOARCH.
+		if s.hot < float64(-victim.hot*m.cfg.PromoteMargin)+1 {
 			break // remaining candidates are colder still
 		}
 		ci++

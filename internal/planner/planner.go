@@ -125,7 +125,8 @@ func Build(m *models.Model, fastBudget int64, cm CostModel) *Plan {
 			if m.Tensors[id].Kind == models.Activation || m.Tensors[id].Kind == models.Input {
 				f = rf
 			}
-			ti.readBytes += f * float64(ti.bytes)
+			// float64() rounds the product: no fused multiply-add on any GOARCH.
+			ti.readBytes += float64(f * float64(ti.bytes))
 			uses[id] = append(uses[id], ki)
 		}
 		for _, id := range k.Writes {
@@ -147,7 +148,8 @@ func Build(m *models.Model, fastBudget int64, cm CostModel) *Plan {
 				ti.gapEnd = us[i]
 			}
 		}
-		ti.benefitAlways = ti.readBytes*cm.SlowReadPenalty + ti.writeBytes*cm.SlowWritePenalty
+		// float64() rounds each product: no fused multiply-add on any GOARCH.
+		ti.benefitAlways = float64(ti.readBytes*cm.SlowReadPenalty) + float64(ti.writeBytes*cm.SlowWritePenalty)
 	}
 
 	// Greedy: order by benefit density, claim capacity on a per-step

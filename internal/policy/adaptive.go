@@ -272,7 +272,8 @@ func (g *OnlineGuidance) rebalance() {
 			delete(g.gstate, o)
 			continue
 		}
-		s.score = s.score/2 + float64(s.uses)
+		// float64() rounds the halving (a multiply by 0.5): no fused multiply-add on any GOARCH.
+		s.score = float64(s.score/2) + float64(s.uses)
 		s.uses = 0
 		live = append(live, o)
 	}

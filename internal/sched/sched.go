@@ -131,12 +131,19 @@ func (p *progressLine) update(done, total, cached int64) {
 
 // Run executes the cells and returns their results in submission order.
 // Cells run concurrently up to Workers; the first error wins and is
-// wrapped with its cell's name. Once any cell has failed, the remaining
+// wrapped with its cell's name; a cell whose config fails
+// engine.Config.Validate fails the batch before any cell runs. Once any
+// cell has failed, the remaining
 // cells are skipped instead of simulated — a failing 1000-cell sweep
 // reports after the in-flight work drains, not after burning the whole
 // suite. Results served from the cache are shared pointers — callers
 // must treat them as read-only.
 func (s *Scheduler) Run(cells []Cell) ([]*engine.Result, error) {
+	for i := range cells {
+		if err := cells[i].Cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("%s: %w", cells[i].Name, err)
+		}
+	}
 	workers := s.Workers
 	if workers <= 0 {
 		workers = 1

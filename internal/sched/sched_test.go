@@ -351,6 +351,25 @@ func TestRunFastFailSkipsRemaining(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidConfigUpFront: a cell whose config no run can
+// mean fails the batch before any cell simulates or progress prints.
+func TestRunRejectsInvalidConfigUpFront(t *testing.T) {
+	var buf bytes.Buffer
+	m := models.MLP(256, []int{256}, 64, 8)
+	cells := []Cell{
+		{Name: "ok", Model: m, Mode: "CA:LM", Cfg: engine.Config{Iterations: 1}},
+		{Name: "neg", Model: m, Mode: "CA:LM", Cfg: engine.Config{Iterations: -1}},
+	}
+	s := &Scheduler{Workers: 1, Progress: &buf}
+	_, err := s.Run(cells)
+	if err == nil || !strings.Contains(err.Error(), "neg: engine: iterations must not be negative") {
+		t.Fatalf("Run = %v, want the neg cell's validation error", err)
+	}
+	if s.Simulations() != 0 || buf.Len() != 0 {
+		t.Fatalf("%d simulations and progress %q before the rejection", s.Simulations(), buf.String())
+	}
+}
+
 // TestRunSummaryCountsFailures: the final sched: summary must account
 // for every cell — errored cells used to skip the done counter, so the
 // summary undercounted processed cells and never mentioned the failure.
